@@ -15,10 +15,12 @@ Subpackages by task:
 from .ensembles import (
     DeformationSelector,
     EnsembleSpec,
+    SymmetricTridiagonal,
     deform,
     moment_report,
     sample_erdos_renyi,
     sample_goe,
+    sample_goe_tridiagonal,
     sample_matrix,
     sample_sparse_generic,
 )

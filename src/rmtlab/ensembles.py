@@ -1,8 +1,10 @@
 """Samplers for the random matrix ensembles under study.
 
-All samplers return dense real symmetric ``(n, n)`` arrays whose symmetry is
-exact: the upper triangle (diagonal included) is drawn and mirrored.  Matrices
-are plain ndarrays; treat them as immutable once sampled.
+The matrix samplers return dense real symmetric ``(n, n)`` arrays whose
+symmetry is exact: the upper triangle (diagonal included) is drawn and
+mirrored.  Matrices are plain ndarrays; treat them as immutable once sampled.
+``sample_goe_tridiagonal`` instead returns a ``SymmetricTridiagonal`` whose
+eigenvalues have the GOE law, for runs that need only the spectrum.
 
 The sparse ensemble at sparsity ``q`` draws each upper-triangle entry as
 
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincinv, ndtri
 
 from .rng import RngStream
 
@@ -27,6 +30,8 @@ __all__ = [
     "MomentReport",
     "sample_erdos_renyi",
     "sample_goe",
+    "sample_goe_tridiagonal",
+    "SymmetricTridiagonal",
     "sample_sparse_generic",
     "sample_matrix",
     "deform",
@@ -198,6 +203,42 @@ def sample_goe(n, rng: RngStream):
     variance = np.where(iu[0] == iu[1], 2.0 / n, 1.0 / n)
     vals = rng.gaussian(0.0, variance, size=iu[0].shape[0])
     return _symmetric_from_upper(n, vals)
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricTridiagonal:
+    """Real symmetric tridiagonal matrix held as its two bands.
+
+    diag     the n diagonal entries
+    offdiag  the n-1 entries just above (and below) the diagonal
+    """
+
+    diag: np.ndarray
+    offdiag: np.ndarray
+
+    @property
+    def shape(self):
+        n = self.diag.shape[0]
+        return (n, n)
+
+
+def sample_goe_tridiagonal(n, rng: RngStream):
+    """Tridiagonal matrix whose eigenvalues have the law of ``sample_goe(n)``.
+
+    Dumitriu & Edelman (J. Math. Phys. 43, 2002): Householder reduction of a
+    GOE matrix leaves a diagonal of N(0, 2/n) entries and an off-diagonal of
+    independent chi_{n-1}, ..., chi_1 variates scaled by 1/sqrt(n).  Every
+    value is one inverse-CDF transform of one uniform, the diagonal first, so a
+    draw consumes exactly 2n - 1 uniforms.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    u = rng.uniform(2 * n - 1)
+    diag = np.sqrt(2.0 / n) * ndtri(u[:n])
+    # chi_k^2 is Gamma(k/2, scale 2)
+    dof = np.arange(n - 1, 0, -1)
+    offdiag = np.sqrt(2.0 * gammaincinv(0.5 * dof, u[n:]) / n)
+    return SymmetricTridiagonal(diag, offdiag)
 
 
 def sample_sparse_generic(spec: EnsembleSpec, rng: RngStream):

@@ -110,9 +110,15 @@ class ExperimentConfig:
             errs.append(f"experiment {self.experiment!r} needs an ensemble section")
         if self.ensemble is not None:
             try:
-                self.ensemble_spec()
+                spec = self.ensemble_spec()
             except (ValueError, KeyError, TypeError) as exc:
                 errs.append(f"ensemble: {exc}")
+            else:
+                if self.flow is not None:
+                    try:
+                        self.flow_params(spec)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        errs.append(f"flow: {exc}")
         return errs
 
     def validate(self):

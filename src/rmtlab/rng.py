@@ -87,8 +87,9 @@ def trial_map(fn, n_trials, threads=1):
 
     With threads > 1 the trials run on a thread pool, but the result list is
     always assembled by trial index, so downstream reductions see the same
-    sequence no matter how the scheduler interleaved the work.  Exceptions are
-    re-raised with the offending trial index attached.
+    sequence no matter how the scheduler interleaved the work.  An exception
+    propagates as the same object, type and payload intact, with the offending
+    trial index attached (see ``_attach_trial``).
     """
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
@@ -97,9 +98,20 @@ def trial_map(fn, n_trials, threads=1):
         try:
             return fn(k)
         except Exception as exc:
-            raise type(exc)(f"trial {k}: {exc}") from exc
+            _attach_trial(exc, k)
+            raise
 
     if threads <= 1:
         return [run_one(k) for k in range(n_trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run_one, range(n_trials)))
+
+
+def _attach_trial(exc, k):
+    """Name trial k on exc: as a note where exceptions take notes (3.11+),
+    else as a prefix of a lone string message."""
+    label = f"trial {k}"
+    if hasattr(exc, "add_note"):
+        exc.add_note(label)
+    elif len(exc.args) == 1 and isinstance(exc.args[0], str):
+        exc.args = (f"{label}: {exc.args[0]}",)

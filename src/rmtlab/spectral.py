@@ -1,7 +1,8 @@
 """Dense symmetric eigendecomposition and single-matrix spectral functionals.
 
 Everything an experiment reads off one matrix lives here: the certified
-eigendecomposition, empirical and semicircle Stieltjes transforms, classical
+eigendecomposition, eigenvalues of dense or tridiagonal matrices (all of them
+or an index window), empirical and semicircle Stieltjes transforms, classical
 eigenvalue locations, the local-law deviation report, eigenvector
 delocalization and eigenvalue-counting diagnostics, resolvent entries, and the
 closed-form eigenvalue perturbation derivatives.
@@ -16,8 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .ensembles import DeformationSelector
+from .ensembles import DeformationSelector, SymmetricTridiagonal
 from .errors import DegenerateSpectrumError, NumericalError
 
 __all__ = [
@@ -94,9 +96,26 @@ def eigh(a):
     return SpectralDecomposition(w, u, residual)
 
 
-def eigenvalues_of(a):
-    """Ascending eigenvalues only; the fast path for Monte Carlo loops."""
-    return np.linalg.eigvalsh(a)
+def eigenvalues_of(a, select=None):
+    """Ascending eigenvalues only; the fast path for Monte Carlo loops.
+
+    ``a`` is a dense symmetric array or a ``SymmetricTridiagonal``.  With
+    ``select=(lo, hi)`` only eigenvalues lo..hi (0-based, inclusive) are
+    computed and returned, as an array of length hi - lo + 1.
+    """
+    tridiagonal = isinstance(a, SymmetricTridiagonal)
+    if select is None:
+        if tridiagonal:
+            return scipy.linalg.eigvalsh_tridiagonal(a.diag, a.offdiag)
+        return np.linalg.eigvalsh(a)
+    lo, hi = (int(k) for k in select)
+    if not 0 <= lo <= hi < a.shape[0]:
+        raise ValueError(f"select {select} outside indices 0..{a.shape[0] - 1}")
+    if tridiagonal:
+        return scipy.linalg.eigvalsh_tridiagonal(
+            a.diag, a.offdiag, select="i", select_range=(lo, hi)
+        )
+    return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
 
 
 def _eigs(spectrum):

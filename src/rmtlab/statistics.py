@@ -12,15 +12,18 @@ cutoff chi_M before taking expectations, so that exact degeneracies (Q_i =
 
 Monte Carlo estimators draw per-trial streams derived from (seed, stream_base
 + trial), so results do not depend on how trials are scheduled, and coupled
-comparisons at t = 0 are exactly zero.
+comparisons at t = 0 are exactly zero.  Estimators that read a fixed index
+window of each spectrum solve for that window only, and draw their GOE
+reference from the tridiagonal model, which has the same eigenvalue law.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_matrix
+from .ensembles import EnsembleSpec, sample_goe_tridiagonal, sample_matrix
 from .flow import FlowParams, evolve
 from .rng import derive_stream, trial_map
 from .spectral import (
@@ -223,6 +226,27 @@ class RepulsionEstimate:
     trials: int
 
 
+def _window_spectra(spec: EnsembleSpec, lo, hi, trials, seed, stream_base,
+                    threads, sample_fn=None):
+    """Eigenvalues lo..hi of each trial's matrix, as a (trials, hi-lo+1) array.
+
+    GOE is drawn from the tridiagonal model, other kinds through
+    ``sample_matrix``; ``sample_fn(stream)`` replaces either.
+    """
+    if sample_fn is not None:
+        draw = sample_fn
+    elif spec.kind == "goe":
+        draw = functools.partial(sample_goe_tridiagonal, spec.n)
+    else:
+        draw = functools.partial(sample_matrix, spec)
+
+    def one(k):
+        return eigenvalues_of(draw(derive_stream(seed, stream_base + k)),
+                              select=(lo, hi))
+
+    return np.array(trial_map(one, trials, threads))
+
+
 def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
                                 tau=None, threshold=None, stream_base=0,
                                 threads=1, sample_fn=None):
@@ -231,7 +255,7 @@ def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
     The default threshold is the repulsion scale N^(-1-tau); pass an explicit
     threshold to probe other gap scales (e.g. a fixed normalized gap).
     ``sample_fn(stream) -> matrix`` overrides the ensemble sampler, e.g. to
-    probe a deterministic spectrum.
+    probe a deterministic spectrum; it is eigensolved densely.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -241,15 +265,9 @@ def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
         threshold = float(spec.n) ** (-1.0 - tau)
     if not 0 <= i < spec.n - 1:
         raise ValueError(f"index {i} has no upper neighbour in a spectrum of {spec.n}")
-    draw = sample_fn if sample_fn is not None else (
-        lambda stream: sample_matrix(spec, stream)
-    )
-
-    def one(k):
-        lam = eigenvalues_of(draw(derive_stream(seed, stream_base + k)))
-        return lam[i + 1] - lam[i] <= threshold
-
-    hits = int(np.sum(trial_map(one, trials, threads)))
+    lam = _window_spectra(spec, i, i + 1, trials, seed, stream_base, threads,
+                          sample_fn)
+    hits = int(np.sum(lam[:, 1] - lam[:, 0] <= threshold))
     low, high = wilson_interval(hits, trials)
     return RepulsionEstimate(hits / trials, low, high, threshold, trials)
 
@@ -336,13 +354,9 @@ def gap_observable_expectation(spec: EnsembleSpec, obs: ObservableSpec, i,
     if i + max(offsets) >= n:
         raise ValueError("offset reaches past the spectrum")
     scale = n * rho_sc(classical_locations(np.array([i]), n))[0]
-
-    def one(k):
-        lam = eigenvalues_of(sample_matrix(spec, derive_stream(seed, stream_base + k)))
-        args = [np.array([scale * (lam[i] - lam[i + off])]) for off in offsets]
-        return float(obs(*args)[0])
-
-    vals = np.array(trial_map(one, trials, threads))
+    lam = _window_spectra(spec, i, i + max(offsets), trials, seed, stream_base,
+                          threads)
+    vals = obs(*(scale * (lam[:, 0] - lam[:, off]) for off in offsets))
     se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return MeanEstimate(float(vals.mean()), se, trials)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmtlab.ensembles import (
     DeformationSelector,
@@ -11,9 +13,12 @@ from rmtlab.ensembles import (
     moment_report,
     sample_erdos_renyi,
     sample_goe,
+    sample_goe_tridiagonal,
     sample_sparse_generic,
 )
-from rmtlab.rng import derive_stream
+from rmtlab.rng import RngStream, derive_stream
+from rmtlab.spectral import eigenvalues_of
+from rmtlab.statistics import bulk_gaps, ks_distance
 
 
 def upper(h):
@@ -195,3 +200,38 @@ def test_samplers_reject_mismatched_kind():
         sample_erdos_renyi(EnsembleSpec(n=10, kind="goe"), derive_stream(0, 0))
     with pytest.raises(ValueError):
         sample_sparse_generic(EnsembleSpec(n=10, kind="goe"), derive_stream(0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 120), seed=st.integers(0, 2 ** 64 - 1),
+       index=st.integers(0, 2 ** 64 - 1))
+def test_tridiagonal_goe_consumes_exactly_2n_minus_1_uniforms(n, seed, index):
+    stream = RngStream(seed, index)
+    t = sample_goe_tridiagonal(n, stream)
+    assert t.shape == (n, n)
+    assert t.diag.shape == (n,) and t.offdiag.shape == (n - 1,)
+    assert np.all(np.isfinite(t.diag)) and np.all(t.offdiag > 0.0)
+    fresh = RngStream(seed, index)
+    fresh.uniform(2 * n - 1)
+    assert np.array_equal(stream.uniform(4), fresh.uniform(4))
+
+
+def test_tridiagonal_goe_has_the_dense_goe_eigenvalue_law():
+    # Dense and tridiagonal spectra from disjoint streams, compared by
+    # two-sample KS distance.  The central gaps are iid across trials: bound
+    # 1.949 sqrt(2/trials), the critical value at level 0.001.  Pooled
+    # eigenvalues and bulk gaps are correlated within a spectrum, which the iid
+    # value ignores; their pinned bounds are about 3x what these seeds give,
+    # and chi degrees of freedom off by one already break both.
+    n, trials = 200, 1000
+    dense = [eigenvalues_of(sample_goe(n, derive_stream(31, k)))
+             for k in range(trials)]
+    tri = [eigenvalues_of(sample_goe_tridiagonal(n, derive_stream(31, trials + k)))
+           for k in range(trials)]
+    pooled = [np.concatenate(s) for s in (dense, tri)]
+    gaps = [np.concatenate([bulk_gaps(lam, 0.25) for lam in s]) for s in (dense, tri)]
+    c = n // 2 - 1
+    central = [np.array([lam[c + 1] - lam[c] for lam in s]) for s in (dense, tri)]
+    assert ks_distance(*pooled) <= 0.0015
+    assert ks_distance(*gaps) <= 0.008
+    assert ks_distance(*central) <= 1.949 * np.sqrt(2.0 / trials)

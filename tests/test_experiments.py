@@ -162,6 +162,21 @@ def test_cli_invalid_config_exits_2(tmp_path):
     assert cli.main(["spectrum", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("flow", [{"t": 1e-3, "tt": 1.0}, {"t": -1.0}, [0.1]])
+def test_cli_bad_flow_section_exits_2(tmp_path, capsys, flow):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "flow-compare",
+        "ensemble": {"n": 40, "kind": "erdos_renyi", "q_exponent": 0.4},
+        "flow": flow,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["flow-compare", "--config", str(config),
+                     "--out", str(out)]) == 2
+    assert "flow:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_experiment_mismatch_exits_2(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

@@ -1,6 +1,9 @@
+import subprocess
+
 import numpy as np
 import pytest
 
+from rmtlab.errors import DegenerateSpectrumError, NumericalError
 from rmtlab.rng import RngStream, derive_stream, trial_map
 
 
@@ -102,3 +105,38 @@ def test_trial_map_attaches_trial_index():
 
     with pytest.raises(ValueError, match="trial 3"):
         trial_map(work, 5)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_trial_map_keeps_exception_payload(threads):
+    def work(k):
+        if k == 2:
+            raise NumericalError("residual too large", residual=0.25)
+        if k == 4:
+            raise DegenerateSpectrumError("collision", indices=[7, 8])
+        return k
+
+    with pytest.raises(NumericalError, match="trial 2") as info:
+        trial_map(work, 3, threads)
+    assert info.value.residual == 0.25
+
+    with pytest.raises(DegenerateSpectrumError, match="trial 4") as info:
+        trial_map(lambda k: work(k) if k != 2 else k, 5, threads)
+    assert info.value.indices == (7, 8)
+
+
+def test_trial_map_reraises_the_original_exception_object():
+    # CalledProcessError's constructor takes (returncode, cmd): rebuilding it
+    # from a message would raise TypeError instead.
+    original = subprocess.CalledProcessError(9, ["solver", "--fast"])
+
+    def work(k):
+        if k == 1:
+            raise original
+        return k
+
+    with pytest.raises(subprocess.CalledProcessError) as info:
+        trial_map(work, 3, threads=2)
+    assert info.value is original
+    assert info.value.returncode == 9
+    assert info.value.cmd == ["solver", "--fast"]

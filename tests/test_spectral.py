@@ -3,7 +3,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from rmtlab.ensembles import DeformationSelector, EnsembleSpec, sample_goe, sample_matrix
+from rmtlab.ensembles import (
+    DeformationSelector,
+    EnsembleSpec,
+    sample_goe,
+    sample_goe_tridiagonal,
+    sample_matrix,
+)
 from rmtlab.errors import DegenerateSpectrumError
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import (
@@ -57,6 +63,32 @@ def test_eigh_rejects_asymmetric_and_nonfinite():
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         eigh(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def _dense(t):
+    return np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+
+
+@pytest.mark.parametrize("window", [(0, 0), (29, 30), (10, 17), (58, 59), (0, 59)])
+def test_windowed_eigenvalues_match_the_full_solve(window):
+    lo, hi = window
+    tri = sample_goe_tridiagonal(60, derive_stream(12, 1))
+    for a in (sample_goe(60, derive_stream(12, 0)), tri, _dense(tri)):
+        full = eigenvalues_of(a)
+        part = eigenvalues_of(a, select=window)
+        assert part.shape == (hi - lo + 1,)
+        np.testing.assert_allclose(part, full[lo:hi + 1], rtol=0.0, atol=1e-12)
+    # the banded and dense solves of one tridiagonal matrix agree too
+    np.testing.assert_allclose(eigenvalues_of(tri), eigenvalues_of(_dense(tri)),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("window", [(-1, 2), (3, 2), (0, 60)])
+def test_windowed_eigenvalues_reject_bad_windows(window):
+    a = sample_goe(60, derive_stream(12, 0))
+    for m in (a, sample_goe_tridiagonal(60, derive_stream(12, 1))):
+        with pytest.raises(ValueError, match="select"):
+            eigenvalues_of(m, select=window)
 
 
 def test_stieltjes_two_point():
