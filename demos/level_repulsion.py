@@ -7,7 +7,7 @@ probability for sparse and GOE ensembles and shows the coupled flow
 comparison of E[chi_M(Q_i)].
 """
 
-from rmtlab import EnsembleSpec
+from rmtlab import EnsembleSpec, FlowParams
 from rmtlab.spectral import classical_location, rho_sc
 from rmtlab.statistics import (
     CutoffSpec,
@@ -36,7 +36,8 @@ spec = EnsembleSpec(n=N, kind="erdos_renyi", q_exponent=0.4)
 cut = CutoffSpec.from_n_tau(N, 0.2)
 print(f"  cutoff M = N^0.4 = {cut.m:.2f}")
 for t in (0.0, 1e-4, 1e-2):
-    cmp = chi_q_flow_comparison(spec, t, i, cut, 150, SEED)
+    params = FlowParams(n=N, t=t, mean=spec.entry_mean)
+    cmp = chi_q_flow_comparison(spec, params, i, cut, 150, SEED)
     print(f"  t={t:8.1e}  E0={cmp.e0:.4f}  Et={cmp.et:.4f}  "
           f"diff={cmp.diff:+.5f} +- {cmp.se:.5f}")
 print("  (the t = 0 difference is exactly zero by construction)")

@@ -74,6 +74,7 @@ from .statistics import (
     ks_distance_to_cdf,
     level_repulsion_probability,
     q_statistic,
+    sample_spectra,
     wilson_interval,
 )
 

@@ -11,7 +11,6 @@ correlation criteria.
 tolerances never move.
 """
 
-import json
 import math
 import shutil
 import tempfile
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import statistics as stats
 from .ensembles import DeformationSelector, EnsembleSpec, sample_matrix
+from .experiments import _jsonable, _write_json
 from .flow import FlowParams, decompose_sample, evolve
 from .free_conv import FreeConvInput, density_from_stieltjes, solve_m_t
 from .rng import derive_stream, trial_map
@@ -87,13 +87,25 @@ class AcceptanceSuite:
     def _spectra(self, spec: EnsembleSpec, trials, base):
         key = (spec.kind, spec.n, spec.q_exponent, trials, base)
         if key not in self._spectra_cache:
-            def one(k):
-                return eigenvalues_of(
-                    sample_matrix(spec, derive_stream(self.seed, base + k))
-                )
-
-            self._spectra_cache[key] = trial_map(one, trials, self.threads)
+            self._spectra_cache[key] = stats.sample_spectra(
+                spec, trials, self.seed, stream_base=base, threads=self.threads
+            )
         return self._spectra_cache[key]
+
+    def _flow_pair(self, spec, params, base):
+        """H_t by ``evolve`` and by ``decompose_sample``, from independent H_0.
+
+        Reads streams base..base+3: H_0 and noise for each path in turn.
+        """
+        h_e = evolve(
+            sample_matrix(spec, derive_stream(self.seed, base)),
+            params, derive_stream(self.seed, base + 1),
+        )
+        h_d = decompose_sample(
+            sample_matrix(spec, derive_stream(self.seed, base + 2)),
+            params, derive_stream(self.seed, base + 3),
+        ).h_t
+        return h_e, h_d
 
     # -- criterion 1 -------------------------------------------------------
 
@@ -130,14 +142,11 @@ class AcceptanceSuite:
         es = [-1.0, -0.5, 0.0, 0.5, 1.0]
         etas = [n ** -0.9, n ** -0.5, 0.1]
         grid = np.array([e + 1j * eta for eta in etas for e in es])
-
-        def one(k):
-            lam = eigenvalues_of(
-                sample_matrix(spec, derive_stream(self.seed, _BASE_LOCAL_LAW + k))
-            )
-            return local_law_deviation(lam, grid, spec.q).passed
-
-        passed = np.array(trial_map(one, trials, self.threads))
+        spectra = stats.sample_spectra(spec, trials, self.seed,
+                                       stream_base=_BASE_LOCAL_LAW,
+                                       threads=self.threads)
+        passed = np.array([local_law_deviation(lam, grid, spec.q).passed
+                           for lam in spectra])
         frac = float(passed.mean())
         return CriterionResult(
             2, "local-law", bool(frac >= 0.95),
@@ -254,17 +263,8 @@ class AcceptanceSuite:
         f = spec.entry_mean
 
         def one(k):
-            base = _BASE_FLOW_LAW + 4 * k
-            h_e = evolve(
-                sample_matrix(spec, derive_stream(self.seed, base)),
-                params, derive_stream(self.seed, base + 1),
-            )
-            h_d = decompose_sample(
-                sample_matrix(spec, derive_stream(self.seed, base + 2)),
-                params, derive_stream(self.seed, base + 3),
-            ).h_t
             out = []
-            for h in (h_e, h_d):
+            for h in self._flow_pair(spec, params, _BASE_FLOW_LAW + 4 * k):
                 x = h[iu]
                 c = x - f
                 out.extend((x.sum(), (c * c).sum(), (c ** 4).sum()))
@@ -296,16 +296,8 @@ class AcceptanceSuite:
         ks_trials = self._trials(200)
 
         def spectrum_pair(k):
-            base = _BASE_FLOW_LAW + 4 * trials + 4 * k
-            h_e = evolve(
-                sample_matrix(spec, derive_stream(self.seed, base)),
-                params, derive_stream(self.seed, base + 1),
-            )
-            h_d = decompose_sample(
-                sample_matrix(spec, derive_stream(self.seed, base + 2)),
-                params, derive_stream(self.seed, base + 3),
-            ).h_t
-            return eigenvalues_of(h_e), eigenvalues_of(h_d)
+            pair = self._flow_pair(spec, params, _BASE_FLOW_LAW + 4 * (trials + k))
+            return tuple(eigenvalues_of(h) for h in pair)
 
         pairs = trial_map(spectrum_pair, ks_trials, self.threads)
         ks = stats.ks_distance(
@@ -451,7 +443,8 @@ class AcceptanceSuite:
 
         def compare(t):
             return stats.chi_q_flow_comparison(
-                spec, t, i, cut, trials, self.seed,
+                spec, FlowParams(n=n, t=t, mean=spec.entry_mean), i, cut,
+                trials, self.seed,
                 stream_base=_BASE_FLOW_CONT, threads=self.threads,
             )
 
@@ -559,7 +552,7 @@ def run_acceptance(seed=DEFAULT_SEED, threads=1, scale=1.0, out_dir=None,
         "scale": scale,
         "criteria": [
             {"number": r.number, "name": r.name, "passed": bool(r.passed),
-             "details": _plain(r.details)}
+             "details": _jsonable(r.details)}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
@@ -567,18 +560,5 @@ def run_acceptance(seed=DEFAULT_SEED, threads=1, scale=1.0, out_dir=None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "acceptance_report.json", "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out / "acceptance_report.json", payload)
     return payload
-
-
-def _plain(details):
-    out = {}
-    for k, v in details.items():
-        if isinstance(v, (np.floating, np.integer)):
-            v = v.item()
-        elif isinstance(v, np.bool_):
-            v = bool(v)
-        out[k] = v
-    return out

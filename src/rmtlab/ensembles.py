@@ -36,9 +36,7 @@ __all__ = [
     "sample_matrix",
     "deform",
     "moment_report",
-    "centered_part",
     "alternating_profile",
-    "dump_matrix_csv",
 ]
 
 KINDS = ("erdos_renyi", "sparse_generic", "goe")
@@ -175,8 +173,9 @@ class DeformationSelector:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-def _symmetric_from_upper(n, values):
-    iu = np.triu_indices(n)
+def _symmetric_from_upper(n, values, iu):
+    """Symmetric (n, n) matrix with ``values`` at the upper-triangle index
+    pair ``iu = np.triu_indices(n)`` and mirrored below it."""
     out = np.empty((n, n))
     out[iu] = values
     out[iu[1], iu[0]] = values
@@ -192,7 +191,7 @@ def sample_erdos_renyi(spec: EnsembleSpec, rng: RngStream):
     scale = spec.gamma / q
     m = n * (n + 1) // 2
     vals = scale * rng.bernoulli(p, size=m)
-    return _symmetric_from_upper(n, vals)
+    return _symmetric_from_upper(n, vals, np.triu_indices(n))
 
 
 def sample_goe(n, rng: RngStream):
@@ -202,7 +201,7 @@ def sample_goe(n, rng: RngStream):
     iu = np.triu_indices(n)
     variance = np.where(iu[0] == iu[1], 2.0 / n, 1.0 / n)
     vals = rng.gaussian(0.0, variance, size=iu[0].shape[0])
-    return _symmetric_from_upper(n, vals)
+    return _symmetric_from_upper(n, vals, iu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +258,7 @@ def sample_sparse_generic(spec: EnsembleSpec, rng: RngStream):
     m = iu[0].shape[0]
     bern = rng.bernoulli(p, size=m)
     centered = np.sqrt(n * s_upper) * scale * (bern - p)
-    return _symmetric_from_upper(n, centered + spec.entry_mean)
+    return _symmetric_from_upper(n, centered + spec.entry_mean, iu)
 
 
 def sample_matrix(spec: EnsembleSpec, rng: RngStream):
@@ -269,11 +268,6 @@ def sample_matrix(spec: EnsembleSpec, rng: RngStream):
     if spec.kind == "sparse_generic":
         return sample_sparse_generic(spec, rng)
     return sample_goe(spec.n, rng)
-
-
-def centered_part(h, spec: EnsembleSpec):
-    """B = H - f|e><e|, the matrix of centered entries."""
-    return h - spec.entry_mean
 
 
 def deform(h, sel: DeformationSelector, f):
@@ -292,16 +286,6 @@ def deform(h, sel: DeformationSelector, f):
         out[sel.a, sel.b] = value
         out[sel.b, sel.a] = value
     return out
-
-
-def dump_matrix_csv(h, path):
-    """Debug dump: one "row,col,value" line per upper-triangle entry."""
-    n = h.shape[0]
-    iu = np.triu_indices(n)
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for r, c in zip(*iu):
-            fh.write(f"{r},{c},{float(h[r, c])!r}\n")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from . import statistics as stats
 from .ensembles import EnsembleSpec, alternating_profile, sample_matrix
 from .flow import FlowParams
 from .free_conv import FreeConvInput, density_on_support, deviation_report
-from .rng import derive_stream, trial_map
+from .rng import derive_stream
+from .rng import trial_map  # noqa: F401  (rebound here by perfbench's tracer)
 from .spectral import eigenvalues_of, local_law_deviation
 
 __all__ = [
@@ -49,6 +50,9 @@ EXPERIMENT_KINDS = (
 
 DEFAULT_SEED = 1729
 
+# The only experiments that read a ``flow`` section.
+FLOW_EXPERIMENTS = ("flow-compare", "green-compare")
+
 
 def profile_from_json(obj, n):
     """Decode a variance profile field: null/"uniform", alternating, explicit."""
@@ -66,7 +70,8 @@ class ExperimentConfig:
     """Validated experiment description.
 
     ``ensemble`` uses keys {n, kind, q_exponent, mean_f, profile}; ``flow``
-    uses {t, profile, mean_f, decompose} where mean_f is the per-entry mean
+    (flow-compare and green-compare only) uses {t, profile, mean_f}, where
+    profile defaults to the ensemble's and mean_f is the per-entry mean
     (defaults to the ensemble's entry mean); ``stats`` holds the statistic
     knobs for the chosen experiment kind.
     """
@@ -108,13 +113,15 @@ class ExperimentConfig:
             errs.append(f"threads must be >= 1, got {self.threads}")
         if self.experiment not in ("free-conv", "acceptance") and self.ensemble is None:
             errs.append(f"experiment {self.experiment!r} needs an ensemble section")
+        if self.flow is not None and self.experiment not in FLOW_EXPERIMENTS:
+            errs.append(f"flow: experiment {self.experiment!r} takes no flow section")
         if self.ensemble is not None:
             try:
                 spec = self.ensemble_spec()
             except (ValueError, KeyError, TypeError) as exc:
                 errs.append(f"ensemble: {exc}")
             else:
-                if self.flow is not None:
+                if self.flow is not None and self.experiment in FLOW_EXPERIMENTS:
                     try:
                         self.flow_params(spec)
                     except (ValueError, KeyError, TypeError) as exc:
@@ -144,12 +151,17 @@ class ExperimentConfig:
         return EnsembleSpec(**spec)
 
     def flow_params(self, spec: EnsembleSpec):
+        """FlowParams of the flow section; profile and mean default to the
+        ensemble's, so that the flow keeps its law stationary."""
         f = dict(self.flow or {})
         t = float(f.pop("t", 0.0))
-        profile = profile_from_json(f.pop("profile", None), spec.n)
+        profile = f.pop("profile", None)
+        if profile is None:
+            profile = spec.profile
+        else:
+            profile = profile_from_json(profile, spec.n)
         mean_f = f.pop("mean_f", None)
         mean = spec.entry_mean if mean_f is None else float(mean_f)
-        f.pop("decompose", None)
         if f:
             raise ValueError(f"unknown flow keys: {sorted(f)}")
         return FlowParams(n=spec.n, t=t, profile=profile, mean=mean)
@@ -239,13 +251,14 @@ def _stat(cfg, key, default=_REQUIRED):
     return default
 
 
+def _spectra(cfg):
+    """Full spectra of the config's trials, trial k from stream (seed, k)."""
+    return stats.sample_spectra(cfg.ensemble_spec(), cfg.trials, cfg.seed,
+                                threads=cfg.threads)
+
+
 def _run_spectrum(cfg, out):
-    spec = cfg.ensemble_spec()
-
-    def one(k):
-        return eigenvalues_of(sample_matrix(spec, derive_stream(cfg.seed, k)))
-
-    spectra = trial_map(one, cfg.trials, cfg.threads)
+    spectra = _spectra(cfg)
     h = cfg.config_hash()
     artifacts = []
     for k, lam in enumerate(spectra):
@@ -268,12 +281,8 @@ def _run_local_law(cfg, out):
     prefactor = float(_stat(cfg, "prefactor", 5.0))
     grid = np.array([e + 1j * eta for eta in eta_list for e in e_list])
     q = spec.q if spec.kind != "goe" else math.sqrt(spec.n)
-
-    def one(k):
-        lam = eigenvalues_of(sample_matrix(spec, derive_stream(cfg.seed, k)))
-        return local_law_deviation(lam, grid, q, prefactor)
-
-    reports = trial_map(one, cfg.trials, cfg.threads)
+    reports = [local_law_deviation(lam, grid, q, prefactor)
+               for lam in _spectra(cfg)]
     rows = []
     n_pass = 0
     for rep in reports:
@@ -292,15 +301,9 @@ def _run_local_law(cfg, out):
 
 
 def _run_gaps(cfg, out):
-    spec = cfg.ensemble_spec()
     kappa = float(_stat(cfg, "kappa", 0.25))
     bins = int(_stat(cfg, "bins", 50))
-
-    def one(k):
-        lam = eigenvalues_of(sample_matrix(spec, derive_stream(cfg.seed, k)))
-        return stats.bulk_gaps(lam, kappa)
-
-    per_trial = trial_map(one, cfg.trials, cfg.threads)
+    per_trial = [stats.bulk_gaps(lam, kappa) for lam in _spectra(cfg)]
     h = cfg.config_hash()
     rows = []
     for k, gaps in enumerate(per_trial):
@@ -347,19 +350,19 @@ def _run_repulsion(cfg, out):
 
 def _run_flow_compare(cfg, out):
     spec = cfg.ensemble_spec()
-    t = float((cfg.flow or {}).get("t", 0.0))
+    params = cfg.flow_params(spec)
     tau = float(_stat(cfg, "tau", 0.2))
     i = int(_stat(cfg, "index", spec.n // 2 - 1))
     cut = stats.CutoffSpec.from_n_tau(spec.n, tau)
     cmp = stats.chi_q_flow_comparison(
-        spec, t, i, cut, cfg.trials, cfg.seed, threads=cfg.threads
+        spec, params, i, cut, cfg.trials, cfg.seed, threads=cfg.threads
     )
     payload = {
         "e0": cmp.e0,
         "et": cmp.et,
         "diff": cmp.diff,
         "se": cmp.se,
-        "t": t,
+        "t": params.t,
         "n": spec.n,
         "trials": cfg.trials,
         "seed": int(cfg.seed),
@@ -409,7 +412,7 @@ def _run_free_conv(cfg, out):
 
 def _run_green_compare(cfg, out):
     spec = cfg.ensemble_spec()
-    t = float((cfg.flow or {}).get("t", 0.0))
+    params = cfg.flow_params(spec)
     e_list = [float(v) for v in _stat(cfg, "e_list", [0.0])]
     eta = float(_stat(cfg, "eta", 1.0 / spec.n))
     f_kind = str(_stat(cfg, "f_kind", "im"))
@@ -417,13 +420,13 @@ def _run_green_compare(cfg, out):
     delta = float(_stat(cfg, "delta", 0.5))
     zs = [complex(e, eta) for e in e_list]
     cmp = stats.green_trace_comparison(
-        spec, t, zs, f_kind, cfg.trials, cfg.seed,
+        spec, params, zs, f_kind, cfg.trials, cfg.seed,
         kappa=kappa, delta=delta, threads=cfg.threads,
     )
     payload = {
         "config_hash": cfg.config_hash(),
         "seed": int(cfg.seed),
-        "t": t,
+        "t": params.t,
         "f_kind": f_kind,
         "points": [
             {"e": z.real, "eta": z.imag, "diff": d, "se": s}

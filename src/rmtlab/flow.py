@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import sample_goe
+from .ensembles import _symmetric_from_upper, sample_goe
 from .errors import InfeasibleDecompositionError
 from .rng import RngStream
 
@@ -97,8 +97,14 @@ class FlowSample:
     theta: float
 
 
-def _upper(n):
-    return np.triu_indices(n)
+def _flow_kernel(h0, params: FlowParams, iu, s, variance, rng: RngStream):
+    """f + exp(-t/(2 n s_ij)) (h0_ij - f) + Normal(0, variance) on the upper
+    triangle ``iu`` (with profile values ``s``), filled symmetric."""
+    n = params.n
+    decay = np.exp(-params.t / (2.0 * n * s))
+    vals = params.mean + decay * (h0[iu] - params.mean)
+    vals = vals + rng.gaussian(0.0, variance, size=s.shape[0])
+    return _symmetric_from_upper(n, vals, iu)
 
 
 def evolve(h0, params: FlowParams, rng: RngStream):
@@ -108,16 +114,10 @@ def evolve(h0, params: FlowParams, rng: RngStream):
         raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
     if params.t == 0:
         return h0.copy()
-    iu = _upper(n)
+    iu = np.triu_indices(n)
     s = params.variance_profile()[iu]
-    decay = np.exp(-params.t / (2.0 * n * s))
     noise_var = s * -np.expm1(-params.t / (n * s))
-    vals = params.mean + decay * (h0[iu] - params.mean)
-    vals = vals + rng.gaussian(0.0, noise_var, size=s.shape[0])
-    out = np.empty((n, n))
-    out[iu] = vals
-    out[iu[1], iu[0]] = vals
-    return out
+    return _flow_kernel(h0, params, iu, s, noise_var, rng)
 
 
 def decompose_sample(h0, params: FlowParams, rng: RngStream):
@@ -130,7 +130,7 @@ def decompose_sample(h0, params: FlowParams, rng: RngStream):
     n = params.n
     if h0.shape != (n, n):
         raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
-    iu = _upper(n)
+    iu = np.triu_indices(n)
     s = params.variance_profile()[iu]
     r = params.r
     theta = params.theta
@@ -146,12 +146,9 @@ def decompose_sample(h0, params: FlowParams, rng: RngStream):
         )
     resid_var = np.clip(resid_var, 0.0, None)
 
-    decay = np.exp(-params.t / (2.0 * n * s))
-    vals = params.mean + decay * (h0[iu] - params.mean)
-    vals = vals + rng.gaussian(0.0, resid_var, size=s.shape[0])
-    h1 = np.empty((n, n))
-    h1[iu] = vals
-    h1[iu[1], iu[0]] = vals
+    # The residual noise is drawn at t = 0 too, so the GOE part always reads
+    # the same stretch of the stream.
+    h1 = _flow_kernel(h0, params, iu, s, resid_var, rng)
     if params.t == 0:
         h1 = h0.copy()
 

@@ -48,6 +48,7 @@ __all__ = [
     "q_dyadic_bound_check",
     "chi_m",
     "wilson_interval",
+    "sample_spectra",
     "level_repulsion_probability",
     "gap_observable_expectation",
     "correlation_average",
@@ -226,36 +227,38 @@ class RepulsionEstimate:
     trials: int
 
 
-def _window_spectra(spec: EnsembleSpec, lo, hi, trials, seed, stream_base,
-                    threads, sample_fn=None):
-    """Eigenvalues lo..hi of each trial's matrix, as a (trials, hi-lo+1) array.
+def sample_spectra(spec: EnsembleSpec, trials, seed, *, stream_base=0,
+                   threads=1, select=None):
+    """Eigenvalues of ``trials`` independent draws, as a (trials, width) array.
 
-    GOE is drawn from the tridiagonal model, other kinds through
-    ``sample_matrix``; ``sample_fn(stream)`` replaces either.
+    Row k is ``eigenvalues_of(draw(derive_stream(seed, stream_base + k)),
+    select=select)``: the whole spectrum, or only indices lo..hi for
+    ``select=(lo, hi)``.  Rows come back in trial order at any thread count.
+    With a window, GOE is drawn from the tridiagonal model (same eigenvalue
+    law, far cheaper); without one it is drawn dense, because the dense draw
+    pins the bytes of full-spectrum artifacts and of the shared GOE spectra of
+    acceptance criteria 3 and 4, and switching those waits for law-equality
+    evidence at n = 1000.
     """
-    if sample_fn is not None:
-        draw = sample_fn
-    elif spec.kind == "goe":
+    if select is not None and spec.kind == "goe":
         draw = functools.partial(sample_goe_tridiagonal, spec.n)
     else:
         draw = functools.partial(sample_matrix, spec)
 
     def one(k):
         return eigenvalues_of(draw(derive_stream(seed, stream_base + k)),
-                              select=(lo, hi))
+                              select=select)
 
     return np.array(trial_map(one, trials, threads))
 
 
 def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
                                 tau=None, threshold=None, stream_base=0,
-                                threads=1, sample_fn=None):
+                                threads=1):
     """Empirical P(lambda_{i+1} - lambda_i <= threshold) with Wilson interval.
 
     The default threshold is the repulsion scale N^(-1-tau); pass an explicit
     threshold to probe other gap scales (e.g. a fixed normalized gap).
-    ``sample_fn(stream) -> matrix`` overrides the ensemble sampler, e.g. to
-    probe a deterministic spectrum; it is eigensolved densely.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -265,8 +268,8 @@ def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
         threshold = float(spec.n) ** (-1.0 - tau)
     if not 0 <= i < spec.n - 1:
         raise ValueError(f"index {i} has no upper neighbour in a spectrum of {spec.n}")
-    lam = _window_spectra(spec, i, i + 1, trials, seed, stream_base, threads,
-                          sample_fn)
+    lam = sample_spectra(spec, trials, seed, stream_base=stream_base,
+                         threads=threads, select=(i, i + 1))
     hits = int(np.sum(lam[:, 1] - lam[:, 0] <= threshold))
     low, high = wilson_interval(hits, trials)
     return RepulsionEstimate(hits / trials, low, high, threshold, trials)
@@ -354,8 +357,8 @@ def gap_observable_expectation(spec: EnsembleSpec, obs: ObservableSpec, i,
     if i + max(offsets) >= n:
         raise ValueError("offset reaches past the spectrum")
     scale = n * rho_sc(classical_locations(np.array([i]), n))[0]
-    lam = _window_spectra(spec, i, i + max(offsets), trials, seed, stream_base,
-                          threads)
+    lam = sample_spectra(spec, trials, seed, stream_base=stream_base,
+                         threads=threads, select=(i, i + max(offsets)))
     vals = obs(*(scale * (lam[:, 0] - lam[:, off]) for off in offsets))
     se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return MeanEstimate(float(vals.mean()), se, trials)
@@ -440,31 +443,42 @@ class FlowComparison:
     trials: int
 
 
-def chi_q_flow_comparison(spec: EnsembleSpec, t, i, cut: CutoffSpec, trials,
-                          seed, *, stream_base=0, threads=1):
-    """Compare E[chi_M(Q_i(H_0))] with E[chi_M(Q_i(H_t))] under coupling.
+def _coupled_flow_spectra(spec: EnsembleSpec, params: FlowParams, trials,
+                          seed, stream_base, threads):
+    """(spectrum of H_0, spectrum of H_t = evolve(H_0)) per trial, in trial order.
 
     Trial k draws H_0 from stream 2k and the flow noise from stream 2k+1, so
-    the two expectations share every sample of H_0; at t = 0 the difference
-    is exactly zero.
+    the two sides share every sample of H_0; at t = 0 they are equal.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    params = FlowParams(n=spec.n, t=t, mean=spec.entry_mean)
+    if params.n != spec.n:
+        raise ValueError(f"flow n = {params.n} does not match ensemble n = {spec.n}")
 
     def one(k):
         h0 = sample_matrix(spec, derive_stream(seed, stream_base + 2 * k))
         ht = evolve(h0, params, derive_stream(seed, stream_base + 2 * k + 1))
-        x0 = chi_m(q_statistic(eigenvalues_of(h0), i), cut)
-        xt = chi_m(q_statistic(eigenvalues_of(ht), i), cut)
-        return x0, xt
+        return eigenvalues_of(h0), eigenvalues_of(ht)
 
-    vals = np.array(trial_map(one, trials, threads))
+    return trial_map(one, trials, threads)
+
+
+def chi_q_flow_comparison(spec: EnsembleSpec, params: FlowParams, i,
+                          cut: CutoffSpec, trials, seed, *, stream_base=0,
+                          threads=1):
+    """Compare E[chi_M(Q_i(H_0))] with E[chi_M(Q_i(H_t))] under coupling.
+
+    H_t follows the flow ``params``; the two expectations share every sample
+    of H_0, so at t = 0 the difference is exactly zero.
+    """
+    vals = np.array([
+        (chi_m(q_statistic(lam0, i), cut), chi_m(q_statistic(lamt, i), cut))
+        for lam0, lamt in _coupled_flow_spectra(spec, params, trials, seed,
+                                                stream_base, threads)
+    ])
     diffs = vals[:, 1] - vals[:, 0]
     se = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return FlowComparison(
         float(vals[:, 0].mean()), float(vals[:, 1].mean()),
-        float(diffs.mean()), se, t, trials,
+        float(diffs.mean()), se, params.t, trials,
     )
 
 
@@ -479,9 +493,11 @@ class GreenComparison:
     trials: int
 
 
-def green_trace_comparison(spec: EnsembleSpec, t, zs, f_kind, trials, seed, *,
-                           kappa=0.1, delta=0.5, stream_base=0, threads=1):
-    """Coupled comparison of resolvent-trace observables along the flow.
+def green_trace_comparison(spec: EnsembleSpec, params: FlowParams, zs, f_kind,
+                           trials, seed, *, kappa=0.1, delta=0.5, stream_base=0,
+                           threads=1):
+    """Coupled comparison of resolvent-trace observables along the flow
+    ``params``, on the same trials as ``chi_q_flow_comparison``.
 
     The admissible spectral window is |E| <= 2 - kappa with
     N^(-1-delta) <= eta <= N^(-1).  F acts on the complex normalized trace:
@@ -499,19 +515,14 @@ def green_trace_comparison(spec: EnsembleSpec, t, zs, f_kind, trials, seed, *,
                 f"eta in [{lo_eta:.3g}, {hi_eta:.3g}]"
             )
     take = np.imag if f_kind == "im" else np.real
-    params = FlowParams(n=n, t=t, mean=spec.entry_mean)
-
-    def one(k):
-        h0 = sample_matrix(spec, derive_stream(seed, stream_base + 2 * k))
-        ht = evolve(h0, params, derive_stream(seed, stream_base + 2 * k + 1))
-        m0 = stieltjes_empirical(eigenvalues_of(h0), zs)
-        mt = stieltjes_empirical(eigenvalues_of(ht), zs)
-        return take(mt) - take(m0)
-
-    diffs = np.array(trial_map(one, trials, threads))
+    diffs = np.array([
+        take(stieltjes_empirical(lamt, zs)) - take(stieltjes_empirical(lam0, zs))
+        for lam0, lamt in _coupled_flow_spectra(spec, params, trials, seed,
+                                                stream_base, threads)
+    ])
     se = (
         diffs.std(axis=0, ddof=1) / math.sqrt(trials)
         if trials > 1
         else np.full(zs.shape, math.inf)
     )
-    return GreenComparison(zs, diffs.mean(axis=0), se, t, trials)
+    return GreenComparison(zs, diffs.mean(axis=0), se, params.t, trials)

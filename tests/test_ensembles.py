@@ -7,9 +7,7 @@ from rmtlab.ensembles import (
     DeformationSelector,
     EnsembleSpec,
     alternating_profile,
-    centered_part,
     deform,
-    dump_matrix_csv,
     moment_report,
     sample_erdos_renyi,
     sample_goe,
@@ -29,7 +27,7 @@ def test_erdos_renyi_centered_variance_is_one_over_n():
     # Var(h_ij) = gamma^2 (q^2/N)(1 - q^2/N)/q^2 = 1/N holds exactly in law;
     # the pooled Monte Carlo estimate must sit within 4 standard errors.
     spec = EnsembleSpec(n=1000, kind="erdos_renyi", q_exponent=0.4)
-    b = upper(centered_part(sample_erdos_renyi(spec, derive_stream(8, 0)), spec))
+    b = upper(sample_erdos_renyi(spec, derive_stream(8, 0)) - spec.entry_mean)
     m2 = np.mean(b * b)
     m4 = np.mean(b ** 4)
     se = np.sqrt((m4 - m2 * m2) / b.size)
@@ -89,7 +87,7 @@ def test_sparse_generic_uniform_profile_matches_centered_erdos_renyi():
     # centered Erdos-Renyi entry law, bernoulli draw for bernoulli draw.
     er = EnsembleSpec(n=300, kind="erdos_renyi", q_exponent=0.4)
     sg = EnsembleSpec(n=300, kind="sparse_generic", q_exponent=0.4)
-    b_er = centered_part(sample_erdos_renyi(er, derive_stream(77, 5)), er)
+    b_er = sample_erdos_renyi(er, derive_stream(77, 5)) - er.entry_mean
     b_sg = sample_sparse_generic(sg, derive_stream(77, 5))
     assert np.allclose(b_er, b_sg, rtol=0, atol=1e-15)
 
@@ -182,17 +180,6 @@ def test_moment_report_rejects_empty_and_bad_k():
         moment_report([], 2, spec)
     with pytest.raises(ValueError):
         moment_report([sample_goe(10, derive_stream(0, 0))], 9, spec)
-
-
-def test_dump_matrix_csv_round_trip(tmp_path):
-    h = sample_goe(6, derive_stream(60, 0))
-    path = tmp_path / "m.csv"
-    dump_matrix_csv(h, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) == 1 + 6 * 7 // 2
-    r, c, v = lines[1].split(",")
-    assert (int(r), int(c)) == (0, 0) and float(v) == h[0, 0]
 
 
 def test_samplers_reject_mismatched_kind():

@@ -162,19 +162,66 @@ def test_cli_invalid_config_exits_2(tmp_path):
     assert cli.main(["spectrum", "--config", str(config)]) == 2
 
 
-@pytest.mark.parametrize("flow", [{"t": 1e-3, "tt": 1.0}, {"t": -1.0}, [0.1]])
+def assert_flow_section_rejected(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    experiment = config["experiment"]
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 2
+    assert "flow:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flow", [{"t": 1e-3, "tt": 1.0}, {"t": -1.0}, [0.1],
+                                  {"t": 1e-3, "decompose": True}])
 def test_cli_bad_flow_section_exits_2(tmp_path, capsys, flow):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
+    assert_flow_section_rejected(tmp_path, capsys, {
         "experiment": "flow-compare",
         "ensemble": {"n": 40, "kind": "erdos_renyi", "q_exponent": 0.4},
         "flow": flow,
-    }))
-    out = tmp_path / "out"
-    assert cli.main(["flow-compare", "--config", str(config),
-                     "--out", str(out)]) == 2
-    assert "flow:" in capsys.readouterr().err
-    assert not out.exists()
+    })
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "spectrum", "ensemble": {"n": 40, "kind": "goe"},
+     "flow": {"t": 0.5}},
+    {"experiment": "free-conv", "stats": {"theta_sq": 0.25},
+     "flow": {"bogus": 1}},
+])
+def test_cli_flow_section_on_other_experiments_exits_2(tmp_path, capsys, config):
+    assert_flow_section_rejected(tmp_path, capsys, config)
+
+
+def test_flow_compare_honours_flow_mean(tmp_path):
+    def payload(flow):
+        out = tmp_path / str(len(flow))
+        run(ExperimentConfig.from_dict({
+            "experiment": "flow-compare",
+            "ensemble": {"n": 40, "kind": "erdos_renyi", "q_exponent": 0.4},
+            "flow": flow, "trials": 6, "seed": 4, "out_dir": str(out),
+        }))
+        return json.loads((out / "flow_compare.json").read_text())
+
+    plain = payload({"t": 0.05})
+    shifted = payload({"t": 0.05, "mean_f": 0.3})
+    assert shifted["e0"] == plain["e0"]  # H_0 does not see the flow
+    assert shifted["et"] != plain["et"]
+
+
+def test_flow_params_default_to_the_ensemble_profile():
+    profile = {"type": "alternating", "lo": 0.8, "hi": 1.2}
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "flow-compare",
+        "ensemble": {"n": 30, "kind": "sparse_generic", "q_exponent": 0.4,
+                     "profile": profile},
+        "flow": {"t": 0.1},
+    })
+    spec = cfg.ensemble_spec()
+    params = cfg.flow_params(spec)
+    assert np.array_equal(params.variance_profile(), spec.variance_profile())
+    assert params.r == pytest.approx(0.8)
+    cfg.flow["profile"] = "uniform"
+    assert cfg.flow_params(spec).profile is None
 
 
 def test_cli_experiment_mismatch_exits_2(tmp_path):

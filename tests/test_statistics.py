@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rmtlab.ensembles import EnsembleSpec, sample_goe
+from rmtlab.ensembles import (
+    EnsembleSpec,
+    alternating_profile,
+    sample_goe,
+    sample_goe_tridiagonal,
+    sample_matrix,
+)
+from rmtlab.flow import FlowParams
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import classical_locations, eigenvalues_of
 from rmtlab.statistics import (
@@ -23,6 +32,7 @@ from rmtlab.statistics import (
     level_repulsion_probability,
     q_dyadic_bound_check,
     q_statistic,
+    sample_spectra,
     wilson_interval,
 )
 
@@ -217,13 +227,13 @@ def test_wilson_interval_contains_point_estimate():
     assert wilson_interval(0, 50)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_level_repulsion_deterministic_spectrum_is_zero():
-    spec = EnsembleSpec(n=10, kind="goe")
-    est = level_repulsion_probability(
-        spec, 4, 50, seed=5, threshold=0.5,
-        sample_fn=lambda stream: np.diag(np.arange(10.0)),
-    )
-    assert est.frequency == 0.0
+def test_level_repulsion_threshold_extremes():
+    # GOE gaps are almost surely positive and far below 10, so the two
+    # thresholds bracket the whole gap law
+    spec = EnsembleSpec(n=40, kind="goe")
+    wide = level_repulsion_probability(spec, 19, 30, seed=5, threshold=10.0)
+    none = level_repulsion_probability(spec, 19, 30, seed=5, threshold=0.0)
+    assert (wide.frequency, none.frequency) == (1.0, 0.0)
 
 
 def test_level_repulsion_envelope_sparse():
@@ -310,10 +320,15 @@ def test_correlation_average_pair_estimator_runs():
 # -- coupled comparisons --------------------------------------------------------
 
 
+def flow(spec, t):
+    """The flow that keeps ``spec``'s uniform-profile law stationary."""
+    return FlowParams(n=spec.n, t=t, mean=spec.entry_mean)
+
+
 def test_chi_q_flow_comparison_zero_time_is_exactly_zero():
     spec = EnsembleSpec(n=80, kind="erdos_renyi", q_exponent=0.4)
     cut = CutoffSpec.from_n_tau(80, 0.2)
-    cmp = chi_q_flow_comparison(spec, 0.0, 39, cut, 20, seed=11)
+    cmp = chi_q_flow_comparison(spec, flow(spec, 0.0), 39, cut, 20, seed=11)
     assert cmp.diff == 0.0
     assert cmp.e0 == cmp.et
 
@@ -321,7 +336,7 @@ def test_chi_q_flow_comparison_zero_time_is_exactly_zero():
 def test_chi_q_flow_comparison_small_t_drift():
     spec = EnsembleSpec(n=60, kind="erdos_renyi", q_exponent=0.4)
     cut = CutoffSpec.from_n_tau(60, 0.2)
-    cmp = chi_q_flow_comparison(spec, 1e-4, 29, cut, 60, seed=11)
+    cmp = chi_q_flow_comparison(spec, flow(spec, 1e-4), 29, cut, 60, seed=11)
     assert abs(cmp.diff) <= 5 * cmp.se + 0.05
 
 
@@ -330,14 +345,14 @@ def test_chi_q_flow_comparison_goe_is_stationary():
     # convention differs, but that is invisible to Q_i at this precision)
     spec = EnsembleSpec(n=150, kind="goe")
     cut = CutoffSpec.from_n_tau(150, 0.2)
-    cmp = chi_q_flow_comparison(spec, 0.5, 74, cut, 200, seed=314)
+    cmp = chi_q_flow_comparison(spec, flow(spec, 0.5), 74, cut, 200, seed=314)
     assert abs(cmp.diff) <= 3 * cmp.se
 
 
 def test_green_trace_comparison_zero_time_is_exactly_zero():
     spec = EnsembleSpec(n=100, kind="erdos_renyi", q_exponent=0.4)
     z = [0.0 + 1j / 100, 0.5 + 1j / 120]
-    cmp = green_trace_comparison(spec, 0.0, z, "im", 15, seed=12)
+    cmp = green_trace_comparison(spec, flow(spec, 0.0), z, "im", 15, seed=12)
     assert np.all(cmp.diff == 0.0)
 
 
@@ -346,7 +361,7 @@ def test_green_trace_comparison_scaling_bound():
     spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
     t = float(n) ** -0.9
     z = [0.0 + 1j / n]
-    cmp = green_trace_comparison(spec, t, z, "im", 60, seed=12)
+    cmp = green_trace_comparison(spec, flow(spec, t), z, "im", 60, seed=12)
     assert abs(cmp.diff[0]) <= 3 * cmp.se[0] + 0.1 * t * n
 
 
@@ -354,8 +369,8 @@ def test_green_trace_comparison_shrinks_with_t():
     n = 150
     spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
     z = [0.2 + 1j / n]
-    small = green_trace_comparison(spec, 1e-3, z, "im", 80, seed=13)
-    large = green_trace_comparison(spec, 1e-2, z, "im", 80, seed=13)
+    small = green_trace_comparison(spec, flow(spec, 1e-3), z, "im", 80, seed=13)
+    large = green_trace_comparison(spec, flow(spec, 1e-2), z, "im", 80, seed=13)
     se = math.hypot(small.se[0], large.se[0])
     assert abs(small.diff[0]) <= abs(large.diff[0]) + 3 * se
 
@@ -363,8 +378,69 @@ def test_green_trace_comparison_shrinks_with_t():
 def test_green_trace_comparison_window_validation():
     spec = EnsembleSpec(n=100, kind="erdos_renyi", q_exponent=0.4)
     with pytest.raises(ValueError):
-        green_trace_comparison(spec, 0.1, [2.5 + 1j / 100], "im", 5, seed=1)
+        green_trace_comparison(spec, flow(spec, 0.1), [2.5 + 1j / 100], "im", 5, seed=1)
     with pytest.raises(ValueError):
-        green_trace_comparison(spec, 0.1, [0.0 + 0.5j], "im", 5, seed=1)
+        green_trace_comparison(spec, flow(spec, 0.1), [0.0 + 0.5j], "im", 5, seed=1)
     with pytest.raises(ValueError):
-        green_trace_comparison(spec, 0.1, [0.0 + 1j / 100], "abs", 5, seed=1)
+        green_trace_comparison(spec, flow(spec, 0.1), [0.0 + 1j / 100], "abs", 5, seed=1)
+
+
+def test_coupled_comparisons_reject_mismatched_flow():
+    spec = EnsembleSpec(n=40, kind="goe")
+    cut = CutoffSpec.from_n_tau(40, 0.2)
+    params = FlowParams(n=41, t=0.1)
+    with pytest.raises(ValueError, match="does not match"):
+        chi_q_flow_comparison(spec, params, 19, cut, 3, seed=1)
+    with pytest.raises(ValueError, match="does not match"):
+        green_trace_comparison(spec, params, [0.0 + 1j / 40], "im", 3, seed=1)
+
+
+def test_chi_q_flow_comparison_follows_the_flow_profile():
+    # a profiled ensemble flowed under its own profile and under the uniform
+    # one shares H_0 but not H_t
+    n = 40
+    spec = EnsembleSpec(n=n, kind="sparse_generic", q_exponent=0.4,
+                        profile=alternating_profile(n, 0.2, 5.0))
+    cut = CutoffSpec.from_n_tau(n, 0.2)
+    own = chi_q_flow_comparison(
+        spec, FlowParams(n=n, t=0.5, profile=spec.profile), 19, cut, 8, seed=2)
+    uniform = chi_q_flow_comparison(spec, flow(spec, 0.5), 19, cut, 8, seed=2)
+    assert own.e0 == uniform.e0
+    assert own.et != uniform.et
+
+
+# -- the trial pipeline --------------------------------------------------------
+
+
+_PIPELINE_SPECS = {
+    "erdos_renyi": lambda n: EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4),
+    "sparse_generic": lambda n: EnsembleSpec(
+        n=n, kind="sparse_generic", q_exponent=0.4,
+        profile=alternating_profile(n, 0.8, 1.2)),
+    "goe": lambda n: EnsembleSpec(n=n, kind="goe"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PIPELINE_SPECS))
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(8, 40), trials=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 64 - 1), base=st.integers(0, 2 ** 40))
+def test_sample_spectra_equals_the_serial_reference_loop(kind, n, trials, seed,
+                                                         base):
+    spec = _PIPELINE_SPECS[kind](n)
+    for select in (None, (n // 2 - 1, n // 2 + 1)):
+        if select is not None and kind == "goe":
+            def draw(stream):
+                return sample_goe_tridiagonal(n, stream)
+        else:
+            def draw(stream):
+                return sample_matrix(spec, stream)
+        expect = np.array([
+            eigenvalues_of(draw(derive_stream(seed, base + k)), select=select)
+            for k in range(trials)
+        ])
+        for threads in (1, 3):
+            got = sample_spectra(spec, trials, seed, stream_base=base,
+                                 threads=threads, select=select)
+            assert got.shape == (trials, n if select is None else 3)
+            assert np.array_equal(got, expect)
