@@ -16,8 +16,6 @@ from .ensembles import (
     DeformationSelector,
     EnsembleSpec,
     SymmetricTridiagonal,
-    deform,
-    moment_report,
     sample_erdos_renyi,
     sample_goe,
     sample_goe_tridiagonal,
@@ -48,27 +46,22 @@ from .spectral import (
     bulk_indices,
     classical_location,
     classical_locations,
-    counting_check,
-    delocalization_sup,
     eigenvalue_derivatives,
     eigenvalues_of,
     eigh,
     local_law_deviation,
     m_sc,
-    resolvent_entry,
     rho_sc,
     semicircle_cdf,
     stieltjes_empirical,
 )
 from .statistics import (
     CutoffSpec,
-    EmpiricalDistribution,
     ObservableSpec,
     bulk_gaps,
     chi_m,
     chi_q_flow_comparison,
     correlation_average,
-    gap_observable_expectation,
     green_trace_comparison,
     ks_distance,
     ks_distance_to_cdf,

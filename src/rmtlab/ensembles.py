@@ -27,15 +27,12 @@ from .rng import RngStream
 __all__ = [
     "EnsembleSpec",
     "DeformationSelector",
-    "MomentReport",
     "sample_erdos_renyi",
     "sample_goe",
     "sample_goe_tridiagonal",
     "SymmetricTridiagonal",
     "sample_sparse_generic",
     "sample_matrix",
-    "deform",
-    "moment_report",
     "alternating_profile",
 ]
 
@@ -43,12 +40,6 @@ KINDS = ("erdos_renyi", "sparse_generic", "goe")
 
 # Admissible variance profiles satisfy c1/n <= s_ij <= c2/n.
 PROFILE_BOUNDS = (0.05, 20.0)
-
-# Default constant for the entry moment bound C^k / (n q^(k-2)); violations
-# are reported as flags, never raised.
-MOMENT_BOUND_C = 2.0
-
-_MOMENT_K_RANGE = range(2, 9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +49,8 @@ class EnsembleSpec:
     n            matrix dimension
     kind         "erdos_renyi" | "sparse_generic" | "goe"
     q_exponent   sparsity exponent a with q = n**a (sparse kinds only)
-    mean_f       rank-one mean coefficient f (entry mean is f/n); None means
-                 the kind's default: gamma*q for erdos_renyi, 0 otherwise
+    mean_f       rank-one mean coefficient f (entry mean is f/n), sparse_generic
+                 only; None means 0.  erdos_renyi has f = gamma*q, goe f = 0
     profile      per-entry variance matrix s_ij, or None for the uniform 1/n
                  profile (sparse_generic only)
     """
@@ -91,10 +82,10 @@ class EnsembleSpec:
                     f"q^2 = {self.q ** 2:.6g} must be < n = {self.n} "
                     "(entry probability q^2/n must stay below 1)"
                 )
-        if self.kind == "erdos_renyi" and self.mean_f is not None:
-            errs.append("erdos_renyi derives mean_f = gamma*q; leave it unset")
         if self.mean_f is not None:
-            if not 0.0 <= self.mean_f <= math.sqrt(self.n):
+            if self.kind != "sparse_generic":
+                errs.append(f"kind {self.kind!r} fixes its mean; leave mean_f unset")
+            elif not 0.0 <= self.mean_f <= math.sqrt(self.n):
                 errs.append(f"mean_f must lie in [0, sqrt(n)], got {self.mean_f}")
         if self.profile is not None:
             if self.kind != "sparse_generic":
@@ -157,20 +148,14 @@ def alternating_profile(n, lo, hi):
 
 @dataclass(frozen=True)
 class DeformationSelector:
-    """Entry position (a, b) with interpolation weight theta in [0, 1].
-
-    Indices are 0-based row/column positions with a <= b.
-    """
+    """Entry position (a, b): 0-based row/column positions with a <= b."""
 
     a: int
     b: int
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.a < 0 or self.b < self.a:
             raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
 def _symmetric_from_upper(n, values, iu):
@@ -268,76 +253,3 @@ def sample_matrix(spec: EnsembleSpec, rng: RngStream):
     if spec.kind == "sparse_generic":
         return sample_sparse_generic(spec, rng)
     return sample_goe(spec.n, rng)
-
-
-def deform(h, sel: DeformationSelector, f):
-    """Interpolate one symmetric entry pair toward its mean.
-
-    Positions (a, b) and (b, a) become f + theta*(h_ab - f); everything else
-    is copied unchanged.  theta = 1 is the identity, theta = 0 pins the entry
-    at f.
-    """
-    n = h.shape[0]
-    if not (0 <= sel.a < n and sel.b < n):
-        raise ValueError(f"selector ({sel.a}, {sel.b}) outside a {n}x{n} matrix")
-    out = h.copy()
-    if sel.theta != 1.0:
-        value = f + sel.theta * (h[sel.a, sel.b] - f)
-        out[sel.a, sel.b] = value
-        out[sel.b, sel.a] = value
-    return out
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Empirical k-th absolute moment of centered entries vs its bound.
-
-    pooled_offdiag  moment averaged over off-diagonal entries and samples
-    pooled_diag     moment averaged over diagonal entries and samples
-    max_entry       largest single-entry moment estimate (noisy for few samples)
-    bound           reference: C^k/(n q^(k-2)) for sparse kinds; for GOE the
-                    exact Gaussian moment E|Z|^k of the off-diagonal law
-    ok              flag, never an error: pooled moments against the bound
-                    (GOE gets 25% slack since its bound is an equality, not
-                    an inequality, and the diagonal variance is doubled)
-    """
-
-    k: int
-    pooled_offdiag: float
-    pooled_diag: float
-    max_entry: float
-    bound: float
-    ok: bool
-
-
-def moment_report(samples, k, spec: EnsembleSpec, c_bound=MOMENT_BOUND_C):
-    """Check E|b_ij|^k of the centered entries against the sparsity bound."""
-    if k not in _MOMENT_K_RANGE:
-        raise ValueError(f"k must lie in [2, 8], got {k}")
-    if len(samples) == 0:
-        raise ValueError("need at least one sampled matrix")
-    n = spec.n
-    for h in samples:
-        if h.shape != (n, n):
-            raise ValueError(f"sample shape {h.shape} does not match spec n = {n}")
-
-    iu = np.triu_indices(n)
-    acc = np.zeros(iu[0].shape[0])
-    for h in samples:
-        acc += np.abs(h[iu] - spec.entry_mean) ** k
-    per_entry = acc / len(samples)
-
-    off = iu[0] != iu[1]
-    pooled_offdiag = float(per_entry[off].mean())
-    pooled_diag = float(per_entry[~off].mean())
-    max_entry = float(per_entry.max())
-
-    if spec.kind == "goe":
-        # exact absolute moment E|Z|^k of N(0, 1/n); equals (k-1)!! n^(-k/2)
-        # for even k
-        bound = 2 ** (k / 2) * math.gamma((k + 1) / 2) / math.sqrt(math.pi) * n ** (-k / 2)
-        ok = bool(pooled_offdiag <= bound * 1.25)
-    else:
-        bound = c_bound ** k / (n * spec.q ** (k - 2))
-        ok = bool(max(pooled_offdiag, pooled_diag) <= bound)
-    return MomentReport(k, pooled_offdiag, pooled_diag, max_entry, bound, ok)

@@ -15,6 +15,7 @@ seed (a ``#`` line for CSV, top-level keys for JSON).
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,21 +38,27 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = (
-    "spectrum",
-    "local-law",
-    "gaps",
-    "repulsion",
-    "flow-compare",
-    "free-conv",
-    "green-compare",
-    "acceptance",
-)
+# Each experiment kind with the ``stats`` keys it reads.
+STATS_KEYS = {
+    "spectrum": (),
+    "local-law": ("e_list", "eta_list", "prefactor"),
+    "gaps": ("kappa", "bins"),
+    "repulsion": ("index", "tau", "threshold"),
+    "flow-compare": ("tau", "index"),
+    "free-conv": ("theta_sq", "base", "eta", "grid_points", "dev_points", "dev_eta"),
+    "green-compare": ("e_list", "eta", "f_kind", "kappa", "delta"),
+    "acceptance": ("scale",),
+}
+EXPERIMENT_KINDS = tuple(STATS_KEYS)
 
 DEFAULT_SEED = 1729
 
 # The only experiments that read a ``flow`` section.
 FLOW_EXPERIMENTS = ("flow-compare", "green-compare")
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def profile_from_json(obj, n):
@@ -69,11 +76,13 @@ def profile_from_json(obj, n):
 class ExperimentConfig:
     """Validated experiment description.
 
-    ``ensemble`` uses keys {n, kind, q_exponent, mean_f, profile}; ``flow``
+    ``ensemble`` (every kind but acceptance; free-conv only with base
+    "sample") uses keys {n, kind, q_exponent, mean_f, profile}; ``flow``
     (flow-compare and green-compare only) uses {t, profile, mean_f}, where
     profile defaults to the ensemble's and mean_f is the per-entry mean
     (defaults to the ensemble's entry mean); ``stats`` holds the statistic
-    knobs for the chosen experiment kind.
+    knobs that STATS_KEYS lists for the chosen experiment kind.  A section or
+    key that the experiment would not read is a validation error.
     """
 
     experiment: str
@@ -105,14 +114,25 @@ class ExperimentConfig:
         errs = []
         if self.experiment not in EXPERIMENT_KINDS:
             errs.append(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            errs.append(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            errs.append(f"seed must be a u64, got {self.seed}")
-        if self.threads < 1:
-            errs.append(f"threads must be >= 1, got {self.threads}")
-        if self.experiment not in ("free-conv", "acceptance") and self.ensemble is None:
+        bounds = {"trials": (1, math.inf), "seed": (0, 2 ** 64 - 1),
+                  "threads": (1, math.inf)}
+        for key, (lo, hi) in bounds.items():
+            value = getattr(self, key)
+            if not _is_int(value):
+                errs.append(f"{key} must be an integer, got {value!r}")
+            elif not lo <= value <= hi:
+                errs.append(f"{key} must lie in [{lo}, {hi}], got {value}")
+        if not isinstance(self.stats, dict):
+            return errs + [f"stats must be an object, got {self.stats!r}"]
+        if self.experiment in STATS_KEYS:
+            unread = sorted(set(self.stats) - set(STATS_KEYS[self.experiment]))
+            if unread:
+                errs.append(f"stats: experiment {self.experiment!r} reads none of {unread}")
+        if self.ensemble is None and self._reads_ensemble():
             errs.append(f"experiment {self.experiment!r} needs an ensemble section")
+        if self.ensemble is not None and not self._reads_ensemble():
+            hint = " unless stats.base is 'sample'" if self.experiment == "free-conv" else ""
+            errs.append(f"ensemble: experiment {self.experiment!r} reads no ensemble{hint}")
         if self.flow is not None and self.experiment not in FLOW_EXPERIMENTS:
             errs.append(f"flow: experiment {self.experiment!r} takes no flow section")
         if self.ensemble is not None:
@@ -128,6 +148,11 @@ class ExperimentConfig:
                         errs.append(f"flow: {exc}")
         return errs
 
+    def _reads_ensemble(self):
+        if self.experiment == "free-conv":
+            return self.stats.get("base") == "sample"
+        return self.experiment != "acceptance"
+
     def validate(self):
         errs = self.validation_errors()
         if errs:
@@ -135,14 +160,17 @@ class ExperimentConfig:
 
     def ensemble_spec(self):
         e = dict(self.ensemble)
-        n = int(e.pop("n"))
+        n = e.pop("n")
+        if not _is_int(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
         profile = profile_from_json(e.pop("profile", None), n)
         kind = e.pop("kind")
         spec = {"n": n, "kind": kind, "profile": profile}
-        if "q_exponent" in e and e["q_exponent"] is not None:
-            spec["q_exponent"] = float(e.pop("q_exponent"))
-        else:
-            e.pop("q_exponent", None)
+        q_exponent = e.pop("q_exponent", None)
+        if q_exponent is not None:
+            if kind == "goe":
+                raise ValueError("kind 'goe' takes no q_exponent")
+            spec["q_exponent"] = float(q_exponent)
         mean_f = e.pop("mean_f", None)
         if mean_f is not None:
             spec["mean_f"] = float(mean_f)
@@ -227,7 +255,7 @@ def emit_histogram(samples, bins, value_range=None):
     The density column integrates to 1 over the covered range: density =
     count / (total_in_range * bin_width).
     """
-    samples = stats.EmpiricalDistribution(samples).samples
+    samples = stats._as_samples(samples)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     counts, edges = np.histogram(samples, bins=bins, range=value_range)

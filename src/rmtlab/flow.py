@@ -19,6 +19,7 @@ variance on the diagonal carries the GOE weight (1+delta_ij)/2 and can only
 vanish, never go negative, when r is the exact profile minimum.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +49,16 @@ class FlowParams:
     profile   entry variances s_ij, or None for the uniform 1/n profile
     mean      per-entry mean f (note: a rank-one coefficient f_coef on
               |e><e| corresponds to entry mean f_coef/n)
-    r_value   override for r = min n s_ij; leave None for the exact minimum
-              (overrides larger than the minimum make the Gaussian-divisible
-              split infeasible and are rejected there)
     """
 
     n: int
     t: float
     profile: np.ndarray | None = None
     mean: float = 0.0
-    r_value: float | None = None
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t must be finite and nonnegative, got {self.t}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.profile is not None:
@@ -78,8 +75,7 @@ class FlowParams:
 
     @property
     def r(self):
-        if self.r_value is not None:
-            return float(self.r_value)
+        """min over i <= j of n s_ij."""
         return float(self.n * self.variance_profile().min())
 
     @property
@@ -123,9 +119,10 @@ def evolve(h0, params: FlowParams, rng: RngStream):
 def decompose_sample(h0, params: FlowParams, rng: RngStream):
     """Sample the pair (H_t^(1), G) and assemble H_t = H_t^(1) + theta_t G.
 
-    Raises InfeasibleDecompositionError when the residual entry variance
-    s_ij (1-e^{-t/(n s_ij)}) - (1+delta_ij)/(2n) r (1-e^{-t/r}) dips negative,
-    which can only happen for an r_value override above the profile minimum.
+    The residual entry variance s_ij (1-e^{-t/(n s_ij)}) - (1+delta_ij)/(2n)
+    r (1-e^{-t/r}) is nonnegative because r is the profile minimum; should
+    rounding ever drive it below -1e-12 max s_ij, the split raises
+    InfeasibleDecompositionError instead of clipping silently.
     """
     n = params.n
     if h0.shape != (n, n):

@@ -13,6 +13,7 @@ Densities come from Stieltjes inversion, rho_t(E) = Im m_t(E + i eta)/pi, and
 classical locations from quantiles of the numerically integrated density.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class FreeConvInput:
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.theta_sq < 0:
-            raise ValueError(f"theta_sq must be nonnegative, got {self.theta_sq}")
+        if not (math.isfinite(self.theta_sq) and self.theta_sq >= 0):
+            raise ValueError(f"theta_sq must be finite and nonnegative, got {self.theta_sq}")
         if self.eigenvalues is not None:
             lam = np.asarray(self.eigenvalues, dtype=float)
             if lam.ndim != 1 or lam.size == 0:

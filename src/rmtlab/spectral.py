@@ -3,9 +3,8 @@
 Everything an experiment reads off one matrix lives here: the certified
 eigendecomposition, eigenvalues of dense or tridiagonal matrices (all of them
 or an index window), empirical and semicircle Stieltjes transforms, classical
-eigenvalue locations, the local-law deviation report, eigenvector
-delocalization and eigenvalue-counting diagnostics, resolvent entries, and the
-closed-form eigenvalue perturbation derivatives.
+eigenvalue locations, the local-law deviation report, and the closed-form
+eigenvalue perturbation derivatives.
 
 Conventions: eigenvalues ascend; eigenvector ``i`` is column ``i``; all indices
 are 0-based, so the classical location of eigenvalue index ``i`` is the
@@ -35,9 +34,6 @@ __all__ = [
     "classical_locations",
     "bulk_indices",
     "local_law_deviation",
-    "delocalization_sup",
-    "counting_check",
-    "resolvent_entry",
     "eigenvalue_derivatives",
 ]
 
@@ -54,10 +50,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
-
-    @property
-    def n(self):
-        return self.eigenvalues.shape[0]
 
 
 def eigh(a):
@@ -118,15 +110,9 @@ def eigenvalues_of(a, select=None):
     return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
 
 
-def _eigs(spectrum):
-    if isinstance(spectrum, SpectralDecomposition):
-        return spectrum.eigenvalues
-    return np.asarray(spectrum, dtype=float)
-
-
 def stieltjes_empirical(spectrum, z):
     """m_N(z) = (1/N) sum_i 1/(lambda_i - z) for Im z > 0."""
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=float)
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
         raise ValueError("Im z must be positive")
@@ -212,7 +198,7 @@ def local_law_deviation(spectrum, grid, q, prefactor=LOCAL_LAW_PREFACTOR):
     envelope is prefactor * (1/q + 1/(N eta)).  For a GOE reference pass
     q = sqrt(N).
     """
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=float)
     n = lam.shape[0]
     z = np.asarray(grid, dtype=complex).ravel()
     if np.any(z.imag <= 0):
@@ -220,52 +206,6 @@ def local_law_deviation(spectrum, grid, q, prefactor=LOCAL_LAW_PREFACTOR):
     dev = np.abs(stieltjes_empirical(lam, z) - m_sc(z))
     bound = prefactor * (1.0 / q + 1.0 / (n * z.imag))
     return LocalLawReport(z.real, z.imag, dev, bound, dev <= bound)
-
-
-def delocalization_sup(dec: SpectralDecomposition, kappa):
-    """sup over bulk eigenvectors and coordinates of |u_i(j)|^2."""
-    idx = bulk_indices(dec.n, kappa)
-    return float((dec.eigenvectors[:, idx] ** 2).max())
-
-
-def counting_check(spectrum, delta, c_bound):
-    """Do eigenvalue counts stay below C |I| N for all windows |I| >= N^(delta-1)?
-
-    Windows of dyadic widths 2^k N^(-1+delta) slide across [-3, 3]; returns
-    (ok, worst) where worst = (left, width, count, ratio) describes the
-    interval with the largest count/(|I| N) ratio.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    lam = _eigs(spectrum)
-    n = lam.shape[0]
-    inside = np.sort(lam[(lam >= -3.0) & (lam <= 3.0)])
-    if inside.size == 0:
-        return True, (math.nan, math.nan, 0, 0.0)
-
-    worst = (math.nan, math.nan, 0, -math.inf)
-    width = n ** (-1.0 + delta)
-    while width <= 6.0:
-        # the ratio over all windows of this width is maximized by a window
-        # whose left end sits on an eigenvalue
-        counts = np.searchsorted(inside, inside + width, side="right") - np.arange(
-            inside.size
-        )
-        j = int(counts.argmax())
-        ratio = counts[j] / (width * n)
-        if ratio > worst[3]:
-            worst = (float(inside[j]), float(width), int(counts[j]), float(ratio))
-        width *= 2.0
-    return bool(worst[3] <= c_bound), worst
-
-
-def resolvent_entry(dec: SpectralDecomposition, j, k, z):
-    """G_jk(z) = sum_i u_i(j) u_i(k) / (lambda_i - z)."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("Im z must be positive")
-    u = dec.eigenvectors
-    return complex(np.sum(u[j] * u[k] / (dec.eigenvalues - z)))
 
 
 def _direction_overlaps(dec, i, sel):

@@ -29,14 +29,12 @@ from .rng import derive_stream, trial_map
 from .spectral import (
     bulk_indices,
     classical_locations,
-    counting_check,
     eigenvalues_of,
     rho_sc,
     stieltjes_empirical,
 )
 
 __all__ = [
-    "EmpiricalDistribution",
     "CutoffSpec",
     "ObservableSpec",
     "RepulsionEstimate",
@@ -45,12 +43,10 @@ __all__ = [
     "CorrelationEstimate",
     "bulk_gaps",
     "q_statistic",
-    "q_dyadic_bound_check",
     "chi_m",
     "wilson_interval",
     "sample_spectra",
     "level_repulsion_probability",
-    "gap_observable_expectation",
     "correlation_average",
     "chi_q_flow_comparison",
     "green_trace_comparison",
@@ -62,26 +58,14 @@ __all__ = [
 CHI_DERIVATIVE_BOUNDS = (1.512, 3.941, 36.0)
 
 
-class EmpiricalDistribution:
-    """Sorted sample set with right-continuous CDF evaluation."""
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=float).ravel()
-        if samples.size == 0:
-            raise ValueError("need at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        self.samples = np.sort(samples)
-        self.n = samples.size
-
-    def cdf(self, x):
-        return np.searchsorted(self.samples, x, side="right") / self.n
-
-
-def _as_samples(dist):
-    if isinstance(dist, EmpiricalDistribution):
-        return dist.samples
-    return EmpiricalDistribution(dist).samples
+def _as_samples(samples):
+    """Sorted finite 1-d sample array; raises on empty or non-finite input."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size == 0:
+        raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    return np.sort(samples)
 
 
 def ks_distance(a, b):
@@ -118,15 +102,14 @@ class CutoffSpec:
     """
 
     m: float
-    tau: float | None = None
 
     def __post_init__(self):
-        if self.m <= 1.0:
-            raise ValueError(f"M must exceed 1, got {self.m}")
+        if not (math.isfinite(self.m) and self.m > 1.0):
+            raise ValueError(f"M must be finite and exceed 1, got {self.m}")
 
     @classmethod
     def from_n_tau(cls, n, tau):
-        return cls(m=float(n) ** (2.0 * tau), tau=tau)
+        return cls(m=float(n) ** (2.0 * tau))
 
 
 def chi_m(x, cut: CutoffSpec, order=0):
@@ -184,29 +167,6 @@ def q_statistic(spectrum, i):
     return float(np.sum(1.0 / (d * d))) / (n * n)
 
 
-def q_dyadic_bound_check(spectrum, i, delta, c_bound):
-    """Check Q_i <= 3 C N^delta theta^(-2) on spectra with controlled counts.
-
-    theta is N times the smaller adjacent gap at i.  Returns (applicable,
-    q_value, bound, ok): the bound is only claimed when the spectrum passes
-    counting_check(delta, c_bound) and both adjacent gaps are positive.
-    """
-    lam = np.asarray(spectrum, dtype=float)
-    n = lam.shape[0]
-    adjacent = []
-    if i > 0:
-        adjacent.append(lam[i] - lam[i - 1])
-    if i + 1 < n:
-        adjacent.append(lam[i + 1] - lam[i])
-    theta = n * min(adjacent)
-    counts_ok, _ = counting_check(lam, delta, c_bound)
-    q = q_statistic(lam, i)
-    if not counts_ok or theta <= 0:
-        return False, q, math.inf, True
-    bound = 3.0 * c_bound * n ** delta / theta ** 2
-    return True, q, bound, bool(q <= bound)
-
-
 def wilson_interval(successes, trials, z=1.959963984540054):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
@@ -257,14 +217,18 @@ def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
                                 threads=1):
     """Empirical P(lambda_{i+1} - lambda_i <= threshold) with Wilson interval.
 
-    The default threshold is the repulsion scale N^(-1-tau); pass an explicit
-    threshold to probe other gap scales (e.g. a fixed normalized gap).
+    Give exactly one of ``tau``, for the repulsion scale N^(-1-tau), and an
+    explicit ``threshold``, to probe other gap scales (e.g. a fixed
+    normalized gap).  Both must be finite.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if (tau is None) == (threshold is None):
+        raise ValueError("give exactly one of tau and threshold")
+    for name, value in (("tau", tau), ("threshold", threshold)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if threshold is None:
-        if tau is None:
-            raise ValueError("give either tau or an explicit threshold")
         threshold = float(spec.n) ** (-1.0 - tau)
     if not 0 <= i < spec.n - 1:
         raise ValueError(f"index {i} has no upper neighbour in a spectrum of {spec.n}")
@@ -281,8 +245,6 @@ class ObservableSpec:
 
     gaussian_bump   exp(1 - 1/(1 - u^2)) on |u| < 1, u = (x - center)/width
     cosine_bump     (1 + cos(pi u))/2 on |u| < 1
-    constant        the constant ``value`` everywhere (test plumbing; not
-                    compactly supported)
 
     center may be a scalar or a per-axis sequence.
     """
@@ -291,10 +253,9 @@ class ObservableSpec:
     arity: int = 1
     center: float | tuple = 0.0
     width: float = 1.0
-    value: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian_bump", "cosine_bump", "constant"):
+        if self.kind not in ("gaussian_bump", "cosine_bump"):
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
@@ -310,9 +271,7 @@ class ObservableSpec:
         return c
 
     def support(self):
-        """Per-axis (lo, hi) support bounds, or None when unbounded."""
-        if self.kind == "constant":
-            return None
+        """Per-axis (lo, hi) support bounds."""
         c = self.centers()
         return [(ci - self.width, ci + self.width) for ci in c]
 
@@ -321,8 +280,6 @@ class ObservableSpec:
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(args)}")
         args = [np.asarray(a, dtype=float) for a in args]
-        if self.kind == "constant":
-            return np.broadcast_arrays(*args)[0] * 0.0 + self.value
         c = self.centers()
         out = 1.0
         for x, ci in zip(args, c):
@@ -335,33 +292,6 @@ class ObservableSpec:
                 vals = np.where(inside, 0.5 * (1.0 + np.cos(np.pi * u)), 0.0)
             out = out * vals
         return out
-
-
-@dataclass(frozen=True)
-class MeanEstimate:
-    value: float
-    se: float
-    trials: int
-
-
-def gap_observable_expectation(spec: EnsembleSpec, obs: ObservableSpec, i,
-                               offsets, trials, seed, *, stream_base=0,
-                               threads=1):
-    """Monte Carlo E[O(N rho_sc(gamma_i)(lambda_i - lambda_{i+k}) for k in offsets)]."""
-    offsets = [int(k) for k in offsets]
-    if len(offsets) != obs.arity:
-        raise ValueError(f"{len(offsets)} offsets for arity {obs.arity}")
-    if any(k < 1 for k in offsets):
-        raise ValueError("offsets must be positive")
-    n = spec.n
-    if i + max(offsets) >= n:
-        raise ValueError("offset reaches past the spectrum")
-    scale = n * rho_sc(classical_locations(np.array([i]), n))[0]
-    lam = sample_spectra(spec, trials, seed, stream_base=stream_base,
-                         threads=threads, select=(i, i + max(offsets)))
-    vals = obs(*(scale * (lam[:, 0] - lam[:, off]) for off in offsets))
-    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return MeanEstimate(float(vals.mean()), se, trials)
 
 
 @dataclass(frozen=True)
@@ -383,8 +313,6 @@ def correlation_average(spectra, e, b, obs: ObservableSpec, grid_points=64):
     """
     if obs.arity not in (1, 2):
         raise ValueError(f"unsupported arity {obs.arity}; only n = 1, 2")
-    if obs.support() is None:
-        raise ValueError("correlation_average needs a compactly supported observable")
     spectra = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
     if not spectra:
         raise ValueError("need at least one spectrum")
@@ -509,7 +437,7 @@ def green_trace_comparison(spec: EnsembleSpec, params: FlowParams, zs, f_kind,
     n = spec.n
     lo_eta, hi_eta = float(n) ** (-1.0 - delta), 1.0 / n
     for z in zs:
-        if abs(z.real) > 2.0 - kappa or not lo_eta <= z.imag <= hi_eta:
+        if not (abs(z.real) <= 2.0 - kappa and lo_eta <= z.imag <= hi_eta):
             raise ValueError(
                 f"z = {z} outside the window |E| <= {2 - kappa}, "
                 f"eta in [{lo_eta:.3g}, {hi_eta:.3g}]"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rmtlab.cli as cli
-import rmtlab.experiments as experiments
 from rmtlab.experiments import ExperimentConfig, emit_histogram, run
 from rmtlab.errors import NumericalError
 
@@ -162,14 +161,18 @@ def test_cli_invalid_config_exits_2(tmp_path):
     assert cli.main(["spectrum", "--config", str(config)]) == 2
 
 
-def assert_flow_section_rejected(tmp_path, capsys, config):
+def assert_cli_exits_2(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
+    path.write_text(json.dumps(config))  # writes NaN as the bare token
     experiment = config["experiment"]
-    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 2
-    assert "flow:" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main([experiment, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def assert_flow_section_rejected(tmp_path, capsys, config):
+    assert_cli_exits_2(tmp_path, capsys, config, "flow:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flow", [{"t": 1e-3, "tt": 1.0}, {"t": -1.0}, [0.1],
@@ -190,6 +193,70 @@ def test_cli_bad_flow_section_exits_2(tmp_path, capsys, flow):
 ])
 def test_cli_flow_section_on_other_experiments_exits_2(tmp_path, capsys, config):
     assert_flow_section_rejected(tmp_path, capsys, config)
+
+
+GOE = {"n": 20, "kind": "goe"}
+ER = {"n": 20, "kind": "erdos_renyi", "q_exponent": 0.4}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "gaps", "ensemble": GOE, "stats": {"kapa": 0.3}},
+     "reads none of ['kapa']"),
+    ({"experiment": "spectrum", "ensemble": GOE, "stats": {"kappa": 0.25}},
+     "reads none of ['kappa']"),
+    ({"experiment": "acceptance", "ensemble": GOE, "stats": {"scale": 0.01}},
+     "ensemble: experiment 'acceptance' reads no ensemble"),
+    ({"experiment": "free-conv", "ensemble": ER, "stats": {"theta_sq": 0.25}},
+     "unless stats.base is 'sample'"),
+    ({"experiment": "spectrum", "ensemble": {**GOE, "q_exponent": 0.3}},
+     "kind 'goe' takes no q_exponent"),
+    ({"experiment": "spectrum", "ensemble": {**GOE, "mean_f": 0.3}},
+     "kind 'goe' fixes its mean"),
+    ({"experiment": "repulsion", "ensemble": GOE,
+      "stats": {"tau": 0.2, "threshold": 0.01}}, "exactly one of tau and threshold"),
+], ids=["gaps-typo", "spectrum-stats", "acceptance-ensemble",
+        "free-conv-ensemble", "goe-q-exponent", "goe-mean-f",
+        "repulsion-tau-and-threshold"])
+def test_cli_rejects_config_fields_nothing_reads(tmp_path, capsys, config, message):
+    assert_cli_exits_2(tmp_path, capsys, config, message)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "spectrum", "ensemble": GOE, "seed": 1.5},
+     "seed must be an integer"),
+    ({"experiment": "spectrum", "ensemble": GOE, "threads": 1.5},
+     "threads must be an integer"),
+    ({"experiment": "spectrum", "ensemble": GOE, "trials": True},
+     "trials must be an integer"),
+    ({"experiment": "spectrum", "ensemble": {**GOE, "n": 20.5}},
+     "n must be an integer"),
+    ({"experiment": "flow-compare", "ensemble": ER, "flow": {"t": float("nan")}},
+     "t must be finite"),
+    ({"experiment": "free-conv", "stats": {"theta_sq": float("nan")}},
+     "theta_sq must be finite"),
+    ({"experiment": "repulsion", "ensemble": GOE,
+      "stats": {"threshold": float("nan")}}, "threshold must be finite"),
+    ({"experiment": "flow-compare", "ensemble": ER, "flow": {"t": 0.01},
+      "stats": {"tau": float("nan")}}, "M must be finite"),
+    ({"experiment": "green-compare", "ensemble": ER, "flow": {"t": 0.01},
+      "stats": {"e_list": [float("nan")]}}, "outside the window"),
+], ids=["seed-float", "threads-float", "trials-bool", "n-float", "flow-t-nan",
+        "theta-sq-nan", "threshold-nan", "cutoff-tau-nan", "green-e-nan"])
+def test_cli_rejects_non_integer_and_non_finite_numbers(tmp_path, capsys, config,
+                                                        message):
+    assert_cli_exits_2(tmp_path, capsys, config, message)
+
+
+def test_free_conv_reads_an_ensemble_only_for_a_sample_base():
+    # the benchmark's free-conv config
+    stats = {"theta_sq": 0.25, "base": "sample", "grid_points": 2001}
+    ExperimentConfig.from_dict({
+        "experiment": "free-conv", "ensemble": ER, "stats": stats,
+    }).validate()
+    errs = ExperimentConfig.from_dict({
+        "experiment": "free-conv", "stats": stats,
+    }).validation_errors()
+    assert errs == ["experiment 'free-conv' needs an ensemble section"]
 
 
 def test_flow_compare_honours_flow_mean(tmp_path):

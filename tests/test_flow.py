@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rmtlab.ensembles import EnsembleSpec, sample_erdos_renyi, sample_goe
-from rmtlab.errors import InfeasibleDecompositionError
+from rmtlab.ensembles import EnsembleSpec, sample_erdos_renyi
 from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import eigenvalues_of
@@ -125,15 +124,6 @@ def test_decompose_time_zero():
     assert np.array_equal(fs.h_t1, h0)
     assert np.array_equal(fs.h_t, h0)
     assert fs.theta == 0.0
-
-
-def test_decompose_infeasible_r_override():
-    # an r above the profile minimum drives the diagonal residual variance
-    # negative, which must be an error rather than silent clipping
-    h0 = sample_goe(30, derive_stream(5, 4))
-    params = FlowParams(n=30, t=1.0, r_value=2.0)
-    with pytest.raises(InfeasibleDecompositionError):
-        decompose_sample(h0, params, derive_stream(5, 5))
 
 
 def test_decompose_matches_evolve_moments():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from rmtlab.ensembles import (
     DeformationSelector,
@@ -16,14 +15,11 @@ from rmtlab.spectral import (
     bulk_indices,
     classical_location,
     classical_locations,
-    counting_check,
-    delocalization_sup,
     eigenvalue_derivatives,
     eigenvalues_of,
     eigh,
     local_law_deviation,
     m_sc,
-    resolvent_entry,
     rho_sc,
     semicircle_cdf,
     stieltjes_empirical,
@@ -225,62 +221,6 @@ def test_delocalization_flat_vector_exact():
     dec = eigh(a)
     top = np.abs(dec.eigenvectors[:, -1]) ** 2
     assert top == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
-
-
-def test_delocalization_goe_bound():
-    n = 1000
-    bound = 15.0 * np.log(n) / n
-    for k in range(5):
-        dec = eigh(sample_goe(n, derive_stream(19, k)))
-        assert delocalization_sup(dec, 0.1) <= bound
-
-
-def test_delocalization_diagonal_matrix_is_localized():
-    dec = eigh(np.diag(np.arange(10.0)))
-    assert delocalization_sup(dec, 0.1) == pytest.approx(1.0)
-
-
-def test_counting_check_uniform_spacing():
-    n = 500
-    lam = np.arange(1, n + 1) / n
-    ok, worst = counting_check(lam, delta=0.3, c_bound=2.0)
-    assert ok
-    assert worst[3] <= 1.5
-
-
-def test_counting_check_total_accumulation_fails():
-    lam = np.zeros(100)
-    ok, worst = counting_check(lam, delta=0.1, c_bound=10.0)
-    assert not ok
-    assert worst[2] == 100
-
-
-def test_counting_check_goe():
-    n = 1000
-    for k in range(5):
-        lam = eigenvalues_of(sample_goe(n, derive_stream(23, k)))
-        ok, _ = counting_check(lam, delta=0.1, c_bound=10.0)
-        assert ok
-
-
-def test_resolvent_scalar_case():
-    dec = eigh(np.array([[2.0]]))
-    assert resolvent_entry(dec, 0, 0, 1j) == pytest.approx((2 + 1j) / 5)
-
-
-def test_resolvent_trace_matches_stieltjes():
-    dec = eigh(sample_goe(60, derive_stream(29, 0)))
-    z = 0.3 + 0.2j
-    trace = sum(resolvent_entry(dec, j, j, z) for j in range(60)) / 60
-    assert trace == pytest.approx(complex(stieltjes_empirical(dec, z)), abs=1e-12)
-
-
-def test_resolvent_spectral_weight_lower_bound():
-    # Im G_jj(lambda_i + i eta) >= |u_i(j)|^2 / eta
-    dec = eigh(sample_goe(40, derive_stream(29, 1)))
-    i, j, eta = 20, 7, 1e-3
-    g = resolvent_entry(dec, j, j, dec.eigenvalues[i] + 1j * eta)
-    assert g.imag >= dec.eigenvectors[j, i] ** 2 / eta - 1e-9
 
 
 def test_eigenvalue_derivative_first_order_two_by_two():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from rmtlab.ensembles import (
     EnsembleSpec,
@@ -15,22 +14,19 @@ from rmtlab.ensembles import (
 )
 from rmtlab.flow import FlowParams
 from rmtlab.rng import derive_stream
-from rmtlab.spectral import classical_locations, eigenvalues_of
+from rmtlab.spectral import classical_locations, eigenvalues_of, rho_sc
 from rmtlab.statistics import (
     CHI_DERIVATIVE_BOUNDS,
     CutoffSpec,
-    EmpiricalDistribution,
     ObservableSpec,
     bulk_gaps,
     chi_m,
     chi_q_flow_comparison,
     correlation_average,
-    gap_observable_expectation,
     green_trace_comparison,
     ks_distance,
     ks_distance_to_cdf,
     level_repulsion_probability,
-    q_dyadic_bound_check,
     q_statistic,
     sample_spectra,
     wilson_interval,
@@ -43,19 +39,11 @@ BUMP_INTEGRAL = 1.2069003224378743
 # -- empirical distributions and KS --------------------------------------
 
 
-def test_empirical_distribution_cdf():
-    d = EmpiricalDistribution([3.0, 1.0, 2.0])
-    assert d.cdf(0.5) == 0.0
-    assert d.cdf(1.0) == pytest.approx(1 / 3)  # right-continuous at atoms
-    assert d.cdf(2.5) == pytest.approx(2 / 3)
-    assert d.cdf(10.0) == 1.0
-
-
 def test_empirical_distribution_validation():
     with pytest.raises(ValueError):
-        EmpiricalDistribution([])
+        ks_distance([], [1.0])
     with pytest.raises(ValueError):
-        EmpiricalDistribution([np.nan])
+        ks_distance_to_cdf([np.nan], lambda v: v)
 
 
 def test_ks_identical_samples_is_zero():
@@ -208,16 +196,6 @@ def test_q_statistic_lower_bound_from_min_gap():
         assert q_statistic(lam, i) >= 1.0 / (100 ** 2 * np.min(d * d)) - 1e-15
 
 
-def test_q_dyadic_bound_on_goe_samples():
-    # the counting-based envelope 3 C N^delta theta^-2 holds whenever the
-    # spectrum passes the counting check
-    for k in range(5):
-        lam = eigenvalues_of(sample_goe(300, derive_stream(3, 10 + k)))
-        for i in (100, 150, 200):
-            applicable, _, _, ok = q_dyadic_bound_check(lam, i, 0.2, 10.0)
-            assert not applicable or ok
-
-
 # -- repulsion ----------------------------------------------------------------
 
 
@@ -246,12 +224,13 @@ def test_level_repulsion_envelope_sparse():
 # -- observables ---------------------------------------------------------------
 
 
-def test_observable_constant_is_exact():
-    spec = EnsembleSpec(n=60, kind="goe")
-    obs = ObservableSpec(kind="constant", arity=1, value=2.5)
-    est = gap_observable_expectation(spec, obs, 29, [1], 20, seed=6)
-    assert est.value == 2.5
-    assert est.se == 0.0
+def gap_observable_mean(spec, obs, i, trials, seed, threads=1):
+    """Monte Carlo E[obs(N rho_sc(gamma_i) (lambda_i - lambda_{i+1}))] and
+    its standard error."""
+    scale = spec.n * rho_sc(classical_locations(np.array([i]), spec.n))[0]
+    lam = sample_spectra(spec, trials, seed, threads=threads, select=(i, i + 1))
+    vals = obs(scale * (lam[:, 0] - lam[:, 1]))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
 def test_observable_bump_support_and_smoothness():
@@ -264,9 +243,9 @@ def test_observable_bump_support_and_smoothness():
 def test_gap_observable_same_law_different_seeds():
     spec = EnsembleSpec(n=300, kind="goe")
     obs = ObservableSpec(kind="gaussian_bump", center=-1.0, width=2.0)
-    a = gap_observable_expectation(spec, obs, 149, [1], 80, seed=7)
-    b = gap_observable_expectation(spec, obs, 149, [1], 80, seed=8)
-    assert abs(a.value - b.value) <= 3 * math.hypot(a.se, b.se)
+    a, a_se = gap_observable_mean(spec, obs, 149, 80, seed=7)
+    b, b_se = gap_observable_mean(spec, obs, 149, 80, seed=8)
+    assert abs(a - b) <= 3 * math.hypot(a_se, b_se)
 
 
 def test_gap_observable_universality_sparse_vs_goe():
@@ -274,16 +253,16 @@ def test_gap_observable_universality_sparse_vs_goe():
     # max(3 combined SE, 0.02)
     n, trials, threads = 1000, 300, 2
     obs = ObservableSpec(kind="gaussian_bump", center=-1.0, width=2.0)
-    sparse = gap_observable_expectation(
+    sparse, sparse_se = gap_observable_mean(
         EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4), obs, n // 2 - 1,
-        [1], trials, seed=101, threads=threads,
+        trials, seed=101, threads=threads,
     )
-    goe = gap_observable_expectation(
-        EnsembleSpec(n=n, kind="goe"), obs, n // 2 - 1, [1], trials, seed=202,
+    goe, goe_se = gap_observable_mean(
+        EnsembleSpec(n=n, kind="goe"), obs, n // 2 - 1, trials, seed=202,
         threads=threads,
     )
-    tol = max(3 * math.hypot(sparse.se, goe.se), 0.02)
-    assert abs(sparse.value - goe.value) <= tol
+    tol = max(3 * math.hypot(sparse_se, goe_se), 0.02)
+    assert abs(sparse - goe) <= tol
 
 
 def test_correlation_average_unit_density_oracle():
@@ -304,9 +283,6 @@ def test_correlation_average_requires_data_and_small_arity():
     with pytest.raises(ValueError):
         correlation_average([np.zeros(3)], 0.0, 0.01,
                             ObservableSpec(kind="gaussian_bump", arity=3))
-    with pytest.raises(ValueError):
-        correlation_average([np.zeros(3)], 0.0, 0.01,
-                            ObservableSpec(kind="constant", arity=1))
 
 
 def test_correlation_average_pair_estimator_runs():
