@@ -558,7 +558,5 @@ def run_acceptance(seed=DEFAULT_SEED, threads=1, scale=1.0, out_dir=None,
         "all_passed": all(r.passed for r in results),
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "acceptance_report.json", payload)
+        _write_json(Path(out_dir) / "acceptance_report.json", payload)
     return payload

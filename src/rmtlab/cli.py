@@ -64,7 +64,11 @@ def main(argv=None):
             config.out_dir = args.out
         report = run(config)
     except _NUMERICAL as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # The notes name the trial (rng.trial_map attaches them).
+        parts = [str(exc), *getattr(exc, "__notes__", ())]
+        if getattr(exc, "residual", None) is not None:
+            parts.append(f"residual {exc.residual:.3e}")
+        print(f"numerical failure: {'; '.join(parts)}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -17,13 +17,13 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import statistics as stats
-from .ensembles import EnsembleSpec, alternating_profile, sample_matrix
+from .ensembles import KINDS, EnsembleSpec, alternating_profile, sample_matrix
 from .flow import FlowParams
 from .free_conv import FreeConvInput, density_on_support, deviation_report
 from .rng import derive_stream
@@ -38,51 +38,125 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-# Each experiment kind with the ``stats`` keys it reads.
-STATS_KEYS = {
-    "spectrum": (),
-    "local-law": ("e_list", "eta_list", "prefactor"),
-    "gaps": ("kappa", "bins"),
-    "repulsion": ("index", "tau", "threshold"),
-    "flow-compare": ("tau", "index"),
-    "free-conv": ("theta_sq", "base", "eta", "grid_points", "dev_points", "dev_eta"),
-    "green-compare": ("e_list", "eta", "f_kind", "kappa", "delta"),
-    "acceptance": ("scale",),
-}
-EXPERIMENT_KINDS = tuple(STATS_KEYS)
-
 DEFAULT_SEED = 1729
 
 # The only experiments that read a ``flow`` section.
 FLOW_EXPERIMENTS = ("flow-compare", "green-compare")
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _real(name, value):
+    """A finite JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
-def profile_from_json(obj, n):
-    """Decode a variance profile field: null/"uniform", alternating, explicit."""
-    if obj is None or obj == "uniform":
-        return None
-    if isinstance(obj, dict) and obj.get("type") == "alternating":
-        return alternating_profile(n, float(obj["lo"]), float(obj["hi"]))
-    if isinstance(obj, dict) and obj.get("type") == "explicit":
-        return np.asarray(obj["values"], dtype=float)
-    raise ValueError(f"unrecognized profile spec: {obj!r}")
+def _integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _reals(name, value):
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    return [_real(f"{name}[{j}]", v) for j, v in enumerate(value)]
+
+
+def _choice(*options):
+    def parse(name, value):
+        if value not in options:
+            raise ValueError(f"{name} must be one of {list(options)}, got {value!r}")
+        return value
+    return parse
+
+
+def _profile(name, value):
+    """A function of n giving the profile; EnsembleSpec/FlowParams check it."""
+    if value == "uniform":
+        return lambda n: None
+    kind = value.get("type") if isinstance(value, dict) else None
+    if kind == "alternating" and set(value) == {"type", "lo", "hi"}:
+        lo, hi = _real(f"{name}.lo", value["lo"]), _real(f"{name}.hi", value["hi"])
+        return lambda n: alternating_profile(n, lo, hi)
+    rows = value.get("values") if kind == "explicit" else None
+    if isinstance(rows, list) and set(value) == {"type", "values"}:
+        rows = [_reals(f"{name}.values[{i}]", row) for i, row in enumerate(rows)]
+        if all(len(row) == len(rows) for row in rows):
+            return lambda n: np.array(rows)
+    raise ValueError(f'{name} must be "uniform", an alternating profile '
+                     '{type, lo, hi} or an explicit square matrix {type, values}')
+
+
+# The field tables: every key a section reads, with its parser and default
+# (``...`` marks a required key).  A null value takes the default; a key the
+# table does not list is rejected.
+ENSEMBLE_FIELDS = {"n": (_integer, ...), "kind": (_choice(*KINDS), ...),
+                   "q_exponent": (_real, None), "mean_f": (_real, None),
+                   "profile": (_profile, None)}
+FLOW_FIELDS = {"t": (_real, 0.0), "profile": (_profile, None), "mean_f": (_real, None)}
+# Per experiment kind.  The runners fill in the two defaults that depend on n:
+# index (n//2 - 1) and green-compare's eta (1/n).
+STATS_FIELDS = {
+    "spectrum": {},
+    "local-law": {"e_list": (_reals, (-1.0, -0.5, 0.0, 0.5, 1.0)),
+                  "eta_list": (_reals, (0.01, 0.1)), "prefactor": (_real, 5.0)},
+    "gaps": {"kappa": (_real, 0.25), "bins": (_integer, 50)},
+    "repulsion": {"index": (_integer, None), "tau": (_real, None),
+                  "threshold": (_real, None)},
+    "flow-compare": {"tau": (_real, 0.2), "index": (_integer, None)},
+    "free-conv": {"theta_sq": (_real, ...), "eta": (_real, 1e-4),
+                  "base": (_choice("semicircle", "atom", "sample"), "semicircle"),
+                  "grid_points": (_integer, 201), "dev_points": (_integer, 81),
+                  "dev_eta": (_real, 0.01)},
+    "green-compare": {"e_list": (_reals, (0.0,)), "eta": (_real, None),
+                      "f_kind": (_choice("im", "re"), "im"), "kappa": (_real, 0.1),
+                      "delta": (_real, 0.5)},
+    "acceptance": {"scale": (_real, 1.0)},
+}
+EXPERIMENT_KINDS = tuple(STATS_FIELDS)
+
+
+def _fields(section, experiment, table):
+    """Typed values of one section by its field table; ValueError names every bad key."""
+    if not isinstance(section, dict):
+        raise ValueError(f"expected an object, got {section!r}")
+    unread = sorted(set(section) - set(table))
+    errs = [f"experiment {experiment!r} reads none of {unread}"] if unread else []
+    values = {}
+    for key, (parse, default) in table.items():
+        value = section.get(key)
+        try:
+            if value is None and default is ...:
+                raise ValueError(f"{key} is required")
+            values[key] = default if value is None else parse(key, value)
+        except ValueError as exc:
+            errs.append(str(exc))
+    if errs:
+        raise ValueError("; ".join(errs))
+    return values
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """A valid config's typed values (spec/params None where not read)."""
+
+    seed: int
+    spec: EnsembleSpec | None
+    params: FlowParams | None
+    stats: dict
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description.
+    """Experiment description, kept as given; ``validate`` resolves it.
 
     ``ensemble`` (every kind but acceptance; free-conv only with base
-    "sample") uses keys {n, kind, q_exponent, mean_f, profile}; ``flow``
-    (flow-compare and green-compare only) uses {t, profile, mean_f}, where
-    profile defaults to the ensemble's and mean_f is the per-entry mean
-    (defaults to the ensemble's entry mean); ``stats`` holds the statistic
-    knobs that STATS_KEYS lists for the chosen experiment kind.  A section or
-    key that the experiment would not read is a validation error.
+    "sample"), ``flow`` (flow-compare and green-compare only) and ``stats``
+    are parsed by ENSEMBLE_FIELDS, FLOW_FIELDS and STATS_FIELDS; a section
+    or key that the experiment would not read is a validation error.
     """
 
     experiment: str
@@ -96,11 +170,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {
-            "experiment", "ensemble", "flow", "stats", "trials", "seed",
-            "threads", "out_dir",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
@@ -110,89 +180,69 @@ class ExperimentConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def validation_errors(self):
+    def _resolve(self):
+        """(Resolved, errors): every section parsed, every problem listed."""
         errs = []
+
+        def attempt(prefix, parse):
+            try:
+                return parse()
+            except ValueError as exc:
+                errs.append(f"{prefix}{exc}")
+
         if self.experiment not in EXPERIMENT_KINDS:
             errs.append(f"unknown experiment {self.experiment!r}")
         bounds = {"trials": (1, math.inf), "seed": (0, 2 ** 64 - 1),
                   "threads": (1, math.inf)}
+        ints = {}
         for key, (lo, hi) in bounds.items():
-            value = getattr(self, key)
-            if not _is_int(value):
-                errs.append(f"{key} must be an integer, got {value!r}")
-            elif not lo <= value <= hi:
+            ints[key] = value = attempt("", lambda: _integer(key, getattr(self, key)))
+            if value is not None and not lo <= value <= hi:
                 errs.append(f"{key} must lie in [{lo}, {hi}], got {value}")
         if not isinstance(self.stats, dict):
-            return errs + [f"stats must be an object, got {self.stats!r}"]
-        if self.experiment in STATS_KEYS:
-            unread = sorted(set(self.stats) - set(STATS_KEYS[self.experiment]))
-            if unread:
-                errs.append(f"stats: experiment {self.experiment!r} reads none of {unread}")
-        if self.ensemble is None and self._reads_ensemble():
+            return None, errs + [f"stats must be an object, got {self.stats!r}"]
+        table = STATS_FIELDS.get(self.experiment, {})
+        stats = attempt("stats: ", lambda: _fields(self.stats, self.experiment, table))
+        reads_ensemble = (self.stats.get("base") == "sample" if self.experiment == "free-conv"
+                          else self.experiment != "acceptance")
+        if self.ensemble is None and reads_ensemble:
             errs.append(f"experiment {self.experiment!r} needs an ensemble section")
-        if self.ensemble is not None and not self._reads_ensemble():
+        if self.ensemble is not None and not reads_ensemble:
             hint = " unless stats.base is 'sample'" if self.experiment == "free-conv" else ""
             errs.append(f"ensemble: experiment {self.experiment!r} reads no ensemble{hint}")
         if self.flow is not None and self.experiment not in FLOW_EXPERIMENTS:
             errs.append(f"flow: experiment {self.experiment!r} takes no flow section")
-        if self.ensemble is not None:
-            try:
-                spec = self.ensemble_spec()
-            except (ValueError, KeyError, TypeError) as exc:
-                errs.append(f"ensemble: {exc}")
-            else:
-                if self.flow is not None and self.experiment in FLOW_EXPERIMENTS:
-                    try:
-                        self.flow_params(spec)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        errs.append(f"flow: {exc}")
-        return errs
+        spec = None if self.ensemble is None else attempt("ensemble: ", self.ensemble_spec)
+        params = None
+        if spec is not None and self.experiment in FLOW_EXPERIMENTS:
+            params = attempt("flow: ", lambda: self.flow_params(spec))
+        return Resolved(ints["seed"], spec, params, stats), errs
 
-    def _reads_ensemble(self):
-        if self.experiment == "free-conv":
-            return self.stats.get("base") == "sample"
-        return self.experiment != "acceptance"
+    def validation_errors(self):
+        return self._resolve()[1]
 
     def validate(self):
-        errs = self.validation_errors()
+        """The Resolved config; ValueError listing every problem if invalid."""
+        resolved, errs = self._resolve()
         if errs:
             raise ValueError("; ".join(errs))
+        return resolved
 
     def ensemble_spec(self):
-        e = dict(self.ensemble)
-        n = e.pop("n")
-        if not _is_int(n):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        profile = profile_from_json(e.pop("profile", None), n)
-        kind = e.pop("kind")
-        spec = {"n": n, "kind": kind, "profile": profile}
-        q_exponent = e.pop("q_exponent", None)
-        if q_exponent is not None:
-            if kind == "goe":
-                raise ValueError("kind 'goe' takes no q_exponent")
-            spec["q_exponent"] = float(q_exponent)
-        mean_f = e.pop("mean_f", None)
-        if mean_f is not None:
-            spec["mean_f"] = float(mean_f)
-        if e:
-            raise ValueError(f"unknown ensemble keys: {sorted(e)}")
-        return EnsembleSpec(**spec)
+        e = _fields(self.ensemble, self.experiment, ENSEMBLE_FIELDS)
+        if e["kind"] == "goe" and e["q_exponent"] is not None:
+            raise ValueError("kind 'goe' takes no q_exponent")
+        given = {k: e[k] for k in ("q_exponent", "mean_f") if e[k] is not None}
+        profile = e["profile"] and e["profile"](e["n"])
+        return EnsembleSpec(n=e["n"], kind=e["kind"], profile=profile, **given)
 
     def flow_params(self, spec: EnsembleSpec):
-        """FlowParams of the flow section; profile and mean default to the
-        ensemble's, so that the flow keeps its law stationary."""
-        f = dict(self.flow or {})
-        t = float(f.pop("t", 0.0))
-        profile = f.pop("profile", None)
-        if profile is None:
-            profile = spec.profile
-        else:
-            profile = profile_from_json(profile, spec.n)
-        mean_f = f.pop("mean_f", None)
-        mean = spec.entry_mean if mean_f is None else float(mean_f)
-        if f:
-            raise ValueError(f"unknown flow keys: {sorted(f)}")
-        return FlowParams(n=spec.n, t=t, profile=profile, mean=mean)
+        """FlowParams of the flow section (absent: t = 0).  profile and mean_f,
+        the per-entry mean, default to the ensemble's to keep its law stationary."""
+        f = _fields({} if self.flow is None else self.flow, self.experiment, FLOW_FIELDS)
+        profile = spec.profile if f["profile"] is None else f["profile"](spec.n)
+        mean = spec.entry_mean if f["mean_f"] is None else f["mean_f"]
+        return FlowParams(n=spec.n, t=f["t"], profile=profile, mean=mean)
 
     def hashable_dict(self):
         """Config content that determines results: scheduling knobs excluded."""
@@ -236,6 +286,7 @@ def _fmt(value):
 
 
 def _write_csv(path, cfg_hash, seed, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} seed={seed}\n")
         fh.write(header + "\n")
@@ -244,6 +295,7 @@ def _write_csv(path, cfg_hash, seed, header, rows):
 
 
 def _write_json(path, payload):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -268,25 +320,13 @@ def emit_histogram(samples, bins, value_range=None):
     return rows
 
 
-_REQUIRED = object()
-
-
-def _stat(cfg, key, default=_REQUIRED):
-    if key in cfg.stats:
-        return cfg.stats[key]
-    if default is _REQUIRED:
-        raise ValueError(f"experiment {cfg.experiment!r} needs stats.{key!r}")
-    return default
-
-
-def _spectra(cfg):
+def _spectra(cfg, r):
     """Full spectra of the config's trials, trial k from stream (seed, k)."""
-    return stats.sample_spectra(cfg.ensemble_spec(), cfg.trials, cfg.seed,
-                                threads=cfg.threads)
+    return stats.sample_spectra(r.spec, cfg.trials, cfg.seed, threads=cfg.threads)
 
 
-def _run_spectrum(cfg, out):
-    spectra = _spectra(cfg)
+def _run_spectrum(cfg, r, out):
+    spectra = _spectra(cfg, r)
     h = cfg.config_hash()
     artifacts = []
     for k, lam in enumerate(spectra):
@@ -302,15 +342,12 @@ def _run_spectrum(cfg, out):
     return results, artifacts
 
 
-def _run_local_law(cfg, out):
-    spec = cfg.ensemble_spec()
-    e_list = [float(v) for v in _stat(cfg, "e_list", [-1.0, -0.5, 0.0, 0.5, 1.0])]
-    eta_list = [float(v) for v in _stat(cfg, "eta_list", [0.01, 0.1])]
-    prefactor = float(_stat(cfg, "prefactor", 5.0))
-    grid = np.array([e + 1j * eta for eta in eta_list for e in e_list])
+def _run_local_law(cfg, r, out):
+    spec, s = r.spec, r.stats
+    grid = np.array([e + 1j * eta for eta in s["eta_list"] for e in s["e_list"]])
     q = spec.q if spec.kind != "goe" else math.sqrt(spec.n)
-    reports = [local_law_deviation(lam, grid, q, prefactor)
-               for lam in _spectra(cfg)]
+    reports = [local_law_deviation(lam, grid, q, s["prefactor"])
+               for lam in _spectra(cfg, r)]
     rows = []
     n_pass = 0
     for rep in reports:
@@ -323,26 +360,23 @@ def _run_local_law(cfg, out):
     results = {
         "pairs": len(rows),
         "pass_fraction": n_pass / len(rows),
-        "max_deviation": float(max(r[2] for r in rows)),
+        "max_deviation": float(max(row[2] for row in rows)),
     }
     return results, [path]
 
 
-def _run_gaps(cfg, out):
-    kappa = float(_stat(cfg, "kappa", 0.25))
-    bins = int(_stat(cfg, "bins", 50))
-    per_trial = [stats.bulk_gaps(lam, kappa) for lam in _spectra(cfg)]
+def _run_gaps(cfg, r, out):
+    per_trial = [stats.bulk_gaps(lam, r.stats["kappa"]) for lam in _spectra(cfg, r)]
+    pooled = np.concatenate(per_trial)
+    hist = emit_histogram(pooled, r.stats["bins"], (0.0, float(pooled.max())))
     h = cfg.config_hash()
     rows = []
     for k, gaps in enumerate(per_trial):
         rows.extend((k, j, g) for j, g in enumerate(gaps))
     gaps_path = out / "gaps.csv"
     _write_csv(gaps_path, h, cfg.seed, "trial,index,gap", rows)
-
-    pooled = np.concatenate(per_trial)
     hist_path = out / "gaps_hist.csv"
-    _write_csv(hist_path, h, cfg.seed, "bin_left,bin_right,count,density",
-               emit_histogram(pooled, bins, (0.0, float(pooled.max()))))
+    _write_csv(hist_path, h, cfg.seed, "bin_left,bin_right,count,density", hist)
     results = {
         "samples": int(pooled.size),
         "mean_gap": float(pooled.mean()),
@@ -350,20 +384,15 @@ def _run_gaps(cfg, out):
     return results, [gaps_path, hist_path]
 
 
-def _run_repulsion(cfg, out):
-    spec = cfg.ensemble_spec()
-    i = int(_stat(cfg, "index", spec.n // 2 - 1))
-    tau = _stat(cfg, "tau", None)
-    threshold = _stat(cfg, "threshold", None)
+def _run_repulsion(cfg, r, out):
+    i = r.spec.n // 2 - 1 if r.stats["index"] is None else r.stats["index"]
     est = stats.level_repulsion_probability(
-        spec, i, cfg.trials, cfg.seed,
-        tau=None if tau is None else float(tau),
-        threshold=None if threshold is None else float(threshold),
-        threads=cfg.threads,
+        r.spec, i, cfg.trials, cfg.seed, tau=r.stats["tau"],
+        threshold=r.stats["threshold"], threads=cfg.threads,
     )
     payload = {
         "config_hash": cfg.config_hash(),
-        "seed": int(cfg.seed),
+        "seed": r.seed,
         "index": i,
         "frequency": est.frequency,
         "wilson_low": est.wilson_low,
@@ -376,12 +405,10 @@ def _run_repulsion(cfg, out):
     return payload, [path]
 
 
-def _run_flow_compare(cfg, out):
-    spec = cfg.ensemble_spec()
-    params = cfg.flow_params(spec)
-    tau = float(_stat(cfg, "tau", 0.2))
-    i = int(_stat(cfg, "index", spec.n // 2 - 1))
-    cut = stats.CutoffSpec.from_n_tau(spec.n, tau)
+def _run_flow_compare(cfg, r, out):
+    spec, params = r.spec, r.params
+    i = spec.n // 2 - 1 if r.stats["index"] is None else r.stats["index"]
+    cut = stats.CutoffSpec.from_n_tau(spec.n, r.stats["tau"])
     cmp = stats.chi_q_flow_comparison(
         spec, params, i, cut, cfg.trials, cfg.seed, threads=cfg.threads
     )
@@ -393,7 +420,7 @@ def _run_flow_compare(cfg, out):
         "t": params.t,
         "n": spec.n,
         "trials": cfg.trials,
-        "seed": int(cfg.seed),
+        "seed": r.seed,
         "config_hash": cfg.config_hash(),
     }
     path = out / "flow_compare.json"
@@ -401,33 +428,19 @@ def _run_flow_compare(cfg, out):
     return payload, [path]
 
 
-def _free_conv_input(cfg):
-    theta_sq = float(_stat(cfg, "theta_sq"))
-    base = _stat(cfg, "base", "semicircle")
-    if base == "semicircle":
-        return FreeConvInput(theta_sq)
-    if base == "atom":
-        return FreeConvInput(theta_sq, eigenvalues=np.zeros(1))
-    if base == "sample":
-        spec = cfg.ensemble_spec()
-        lam = eigenvalues_of(sample_matrix(spec, derive_stream(cfg.seed, 0)))
-        return FreeConvInput(theta_sq, eigenvalues=lam)
-    raise ValueError(f"unknown free-conv base {base!r}")
-
-
-def _run_free_conv(cfg, out):
-    inp = _free_conv_input(cfg)
-    eta = float(_stat(cfg, "eta", 1e-4))
-    points = int(_stat(cfg, "grid_points", 201))
-    profile = density_on_support(inp, points, eta)
-    grid, rho = profile.grid, profile.rho
+def _run_free_conv(cfg, r, out):
+    s = r.stats
+    if s["base"] == "sample":
+        lam = eigenvalues_of(sample_matrix(r.spec, derive_stream(cfg.seed, 0)))
+    else:
+        lam = np.zeros(1) if s["base"] == "atom" else None
+    inp = FreeConvInput(s["theta_sq"], eigenvalues=lam)
+    profile = density_on_support(inp, s["grid_points"], s["eta"])
+    dev_grid = np.linspace(-2.0, 2.0, s["dev_points"])
+    rep = deviation_report(inp, dev_grid, s["dev_eta"])
     h = cfg.config_hash()
     density_path = out / "density.csv"
-    _write_csv(density_path, h, cfg.seed, "E,rho", list(zip(grid, rho)))
-
-    dev_grid = np.linspace(-2.0, 2.0, int(_stat(cfg, "dev_points", 81)))
-    dev_eta = float(_stat(cfg, "dev_eta", 0.01))
-    rep = deviation_report(inp, dev_grid, dev_eta)
+    _write_csv(density_path, h, cfg.seed, "E,rho", list(zip(profile.grid, profile.rho)))
     dev_path = out / "deviation.csv"
     _write_csv(dev_path, h, cfg.seed, "E,eta,dev_m,dev_rho",
                list(zip(rep.e, rep.eta, rep.dev_m, rep.dev_rho)))
@@ -438,27 +451,22 @@ def _run_free_conv(cfg, out):
     return results, [density_path, dev_path]
 
 
-def _run_green_compare(cfg, out):
-    spec = cfg.ensemble_spec()
-    params = cfg.flow_params(spec)
-    e_list = [float(v) for v in _stat(cfg, "e_list", [0.0])]
-    eta = float(_stat(cfg, "eta", 1.0 / spec.n))
-    f_kind = str(_stat(cfg, "f_kind", "im"))
-    kappa = float(_stat(cfg, "kappa", 0.1))
-    delta = float(_stat(cfg, "delta", 0.5))
-    zs = [complex(e, eta) for e in e_list]
+def _run_green_compare(cfg, r, out):
+    spec, params, s = r.spec, r.params, r.stats
+    eta = 1.0 / spec.n if s["eta"] is None else s["eta"]
+    zs = [complex(e, eta) for e in s["e_list"]]
     cmp = stats.green_trace_comparison(
-        spec, params, zs, f_kind, cfg.trials, cfg.seed,
-        kappa=kappa, delta=delta, threads=cfg.threads,
+        spec, params, zs, s["f_kind"], cfg.trials, cfg.seed,
+        kappa=s["kappa"], delta=s["delta"], threads=cfg.threads,
     )
     payload = {
         "config_hash": cfg.config_hash(),
-        "seed": int(cfg.seed),
+        "seed": r.seed,
         "t": params.t,
-        "f_kind": f_kind,
+        "f_kind": s["f_kind"],
         "points": [
-            {"e": z.real, "eta": z.imag, "diff": d, "se": s}
-            for z, d, s in zip(cmp.z, cmp.diff, cmp.se)
+            {"e": z.real, "eta": z.imag, "diff": d, "se": se}
+            for z, d, se in zip(cmp.z, cmp.diff, cmp.se)
         ],
         "trials": cfg.trials,
     }
@@ -467,12 +475,11 @@ def _run_green_compare(cfg, out):
     return payload, [path]
 
 
-def _run_acceptance(cfg, out):
+def _run_acceptance(cfg, r, out):
     from .acceptance import run_acceptance
 
-    scale = float(_stat(cfg, "scale", 1.0))
-    report = run_acceptance(seed=cfg.seed, threads=cfg.threads, scale=scale,
-                            out_dir=out)
+    report = run_acceptance(seed=cfg.seed, threads=cfg.threads,
+                            scale=r.stats["scale"], out_dir=out)
     results = {
         "passed": all(c["passed"] for c in report["criteria"]),
         "criteria": report["criteria"],
@@ -493,18 +500,19 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig):
-    """Execute one experiment; writes artifacts and returns the report."""
-    config.validate()
+    """Execute one experiment; writes artifacts and returns the report.
+
+    Runners compute before they write, so a rejected config writes nothing."""
+    resolved = config.validate()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, artifacts = _RUNNERS[config.experiment](config, out)
+    results, artifacts = _RUNNERS[config.experiment](config, resolved, out)
     elapsed = time.perf_counter() - start
 
     report = RunReport(
         experiment=config.experiment,
         config_hash=config.config_hash(),
-        seed=int(config.seed),
+        seed=resolved.seed,
         config=config.hashable_dict(),
         results=results,
         artifacts=[str(p) for p in artifacts],

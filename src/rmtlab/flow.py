@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _symmetric_from_upper, sample_goe
+from .ensembles import _profile_errors, _symmetric_from_upper, sample_goe
 from .errors import InfeasibleDecompositionError
 from .rng import RngStream
 
@@ -61,12 +61,9 @@ class FlowParams:
             raise ValueError(f"t must be finite and nonnegative, got {self.t}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.profile is not None:
-            p = np.asarray(self.profile)
-            if p.shape != (self.n, self.n):
-                raise ValueError(f"profile shape {p.shape} does not match n = {self.n}")
-            if not np.array_equal(p, p.T) or not np.all(p > 0):
-                raise ValueError("profile must be symmetric and positive")
+        problems = [] if self.profile is None else _profile_errors(self.profile, self.n)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def variance_profile(self):
         if self.profile is not None:

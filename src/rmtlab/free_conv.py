@@ -184,25 +184,18 @@ def classical_location_t(i, n, inp: FreeConvInput, eta=DEFAULT_INVERSION_ETA,
 
     Indices are 0-based, matching classical_location.  Raises AccuracyError
     if the integrated density misses more than MASS_DEFICIT_TOL of its mass
-    over the support window.
+    over the support window (the check of DensityProfile).
     """
     if not 0 <= i < n:
         raise ValueError(f"index {i} outside [0, {n - 1}]")
     if inp.theta_sq == 0.0 and inp.eigenvalues is None:
         return classical_location(i, n)
 
-    lo, hi = inp.support_window()
-    grid = np.linspace(lo, hi, grid_points)
-    rho = density_profile(inp, grid, eta)
+    profile = density_on_support(inp, grid_points, eta)
+    grid, rho = profile.grid, profile.rho
     h = grid[1] - grid[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * h)])
-    mass = cdf[-1]
-    if 1.0 - mass > MASS_DEFICIT_TOL:
-        raise AccuracyError(
-            f"integrated density mass {mass:.6f} misses more than "
-            f"{MASS_DEFICIT_TOL} of the total"
-        )
-    target = (i + 1.0) / n * mass
+    target = (i + 1.0) / n * cdf[-1]
     j = int(np.searchsorted(cdf, target))
     j = min(max(j, 1), grid_points - 1)
     df = cdf[j] - cdf[j - 1]

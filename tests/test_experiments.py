@@ -1,11 +1,25 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import rmtlab.cli as cli
-from rmtlab.experiments import ExperimentConfig, emit_histogram, run
+from rmtlab.experiments import (
+    ENSEMBLE_FIELDS,
+    EXPERIMENT_KINDS,
+    FLOW_EXPERIMENTS,
+    FLOW_FIELDS,
+    STATS_FIELDS,
+    ExperimentConfig,
+    _integer,
+    _real,
+    _reals,
+    emit_histogram,
+    run,
+)
 from rmtlab.errors import NumericalError
+from rmtlab.rng import trial_map
 
 
 def read_lines(path):
@@ -168,11 +182,11 @@ def assert_cli_exits_2(tmp_path, capsys, config, message):
     assert cli.main([experiment, "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def assert_flow_section_rejected(tmp_path, capsys, config):
     assert_cli_exits_2(tmp_path, capsys, config, "flow:")
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flow", [{"t": 1e-3, "tt": 1.0}, {"t": -1.0}, [0.1],
@@ -237,14 +251,105 @@ def test_cli_rejects_config_fields_nothing_reads(tmp_path, capsys, config, messa
     ({"experiment": "repulsion", "ensemble": GOE,
       "stats": {"threshold": float("nan")}}, "threshold must be finite"),
     ({"experiment": "flow-compare", "ensemble": ER, "flow": {"t": 0.01},
-      "stats": {"tau": float("nan")}}, "M must be finite"),
+      "stats": {"tau": float("nan")}}, "tau must be finite"),
     ({"experiment": "green-compare", "ensemble": ER, "flow": {"t": 0.01},
-      "stats": {"e_list": [float("nan")]}}, "outside the window"),
+      "stats": {"e_list": [float("nan")]}}, "e_list[0] must be finite"),
 ], ids=["seed-float", "threads-float", "trials-bool", "n-float", "flow-t-nan",
         "theta-sq-nan", "threshold-nan", "cutoff-tau-nan", "green-e-nan"])
 def test_cli_rejects_non_integer_and_non_finite_numbers(tmp_path, capsys, config,
                                                         message):
     assert_cli_exits_2(tmp_path, capsys, config, message)
+
+
+SPARSE = {"n": 20, "kind": "sparse_generic", "q_exponent": 0.4}
+NAN = float("nan")
+
+
+def explicit(value):
+    """A 20 x 20 explicit profile of 1/n entries with one symmetric pair set."""
+    rows = [[1.0 / 20] * 20 for _ in range(20)]
+    rows[3][5] = rows[5][3] = value
+    return {"type": "explicit", "values": rows}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "gaps", "ensemble": GOE, "stats": {"bins": 12.7}},
+     "bins must be an integer"),
+    ({"experiment": "repulsion", "ensemble": GOE, "stats": {"index": 4.9, "tau": 0.2}},
+     "index must be an integer"),
+    ({"experiment": "free-conv",
+      "stats": {"theta_sq": 0.25, "grid_points": 32, "dev_points": 7.9}},
+     "dev_points must be an integer"),
+    ({"experiment": "flow-compare", "ensemble": ER, "flow": {"t": "0.5"}},
+     "t must be a number"),
+    ({"experiment": "flow-compare", "ensemble": ER, "flow": {"t": True}},
+     "t must be a number"),
+    ({"experiment": "spectrum", "ensemble": {**ER, "q_exponent": "0.4"}},
+     "q_exponent must be a number"),
+    ({"experiment": "gaps", "ensemble": GOE, "stats": {"kappa": "0.25"}},
+     "kappa must be a number"),
+    ({"experiment": "spectrum", "ensemble": {
+        **SPARSE, "profile": {"type": "alternating", "lo": "0.8", "hi": 1.2}}},
+     "profile.lo must be a number"),
+    ({"experiment": "gaps", "ensemble": GOE, "stats": {"bins": True}},
+     "bins must be an integer"),
+    ({"experiment": "local-law", "ensemble": GOE, "stats": {"prefactor": NAN}},
+     "prefactor must be finite"),
+    ({"experiment": "local-law", "ensemble": GOE, "stats": {"e_list": [NAN]}},
+     "e_list[0] must be finite"),
+    ({"experiment": "free-conv", "stats": {"theta_sq": 0.25, "eta": NAN}},
+     "eta must be finite"),
+    ({"experiment": "free-conv", "stats": {"theta_sq": 0.25, "dev_eta": NAN}},
+     "dev_eta must be finite"),
+    ({"experiment": "flow-compare", "ensemble": ER,
+      "flow": {"t": 0.01, "profile": explicit(float("inf"))}},
+     "flow: profile.values[3][5] must be finite"),
+    ({"experiment": "flow-compare", "ensemble": ER,
+      "flow": {"t": 0.01, "profile": {"type": "explicit", "values": [[1e-9] * 20] * 20}}},
+     "flow: profile entries must lie in"),
+], ids=["bins-float", "index-float", "dev-points-float", "flow-t-string", "flow-t-bool",
+        "q-exponent-string", "kappa-string", "profile-lo-string", "bins-bool",
+        "prefactor-nan", "e-list-nan", "free-conv-eta-nan", "dev-eta-nan",
+        "flow-profile-infinity", "flow-profile-tiny"])
+def test_cli_rejects_malformed_numbers_before_writing(tmp_path, capsys, config,
+                                                      message):
+    assert_cli_exits_2(tmp_path, capsys, config, message)
+
+
+def valid_config(kind):
+    """A config of this kind that validates, with every section it reads."""
+    cfg = {"experiment": kind}
+    if kind != "acceptance":
+        cfg["ensemble"] = dict(SPARSE)
+    if kind == "free-conv":
+        cfg["stats"] = {"theta_sq": 0.25, "base": "sample"}
+    if kind in FLOW_EXPERIMENTS:
+        cfg["flow"] = {"t": 0.01}
+    return cfg
+
+
+NUMERIC_FIELDS = [
+    (kind, section, key, parse)
+    for kind in EXPERIMENT_KINDS
+    for section, table in (("ensemble", ENSEMBLE_FIELDS), ("flow", FLOW_FIELDS),
+                           ("stats", STATS_FIELDS[kind]))
+    if section == "stats" or section in valid_config(kind)
+    for key, (parse, _) in table.items()
+    if parse in (_real, _integer, _reals)
+]
+
+
+@pytest.mark.parametrize("kind, section, key, parse", NUMERIC_FIELDS,
+                         ids=[f"{k}-{s}.{f}" for k, s, f, _ in NUMERIC_FIELDS])
+def test_field_table_rejects_non_numbers(kind, section, key, parse):
+    assert ExperimentConfig.from_dict(valid_config(kind)).validation_errors() == []
+    bad_values = [NAN, "1", True] + ([2.5] if parse is _integer else [])
+    for bad in bad_values:
+        cfg = valid_config(kind)
+        cfg[section] = {**cfg.get(section, {}), key: [bad] if parse is _reals else bad}
+        errs = ExperimentConfig.from_dict(cfg).validation_errors()
+        named = re.compile(rf"{section}: (.*; )?{key}(\[0\])? must")
+        assert any(named.search(e) for e in errs), (bad, errs)
 
 
 def test_free_conv_reads_an_ensemble_only_for_a_sample_base():
@@ -315,6 +420,22 @@ def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
         "ensemble": {"n": 80, "kind": "goe"},
     }))
     assert cli.main(["spectrum", "--config", str(config)]) == 3
+
+
+def test_cli_numerical_failure_names_trial_and_residual(tmp_path, monkeypatch, capsys):
+    def trial(k):
+        if k == 2:
+            raise NumericalError("residual too big", residual=0.5)
+
+    monkeypatch.setattr(cli, "run", lambda config: trial_map(trial, 4))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "spectrum",
+        "ensemble": {"n": 80, "kind": "goe"},
+    }))
+    assert cli.main(["spectrum", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "trial 2" in err and "residual 5.000e-01" in err
 
 
 def test_profile_round_trip(tmp_path):

@@ -111,6 +111,13 @@ def test_classical_location_t_goe_base_near_classical():
         assert abs(classical_location_t(i, n, inp) - classical_location(i, n)) <= 0.05
 
 
+def test_classical_location_t_pinned_quantile():
+    # pinned exactly: the grid and CDF arithmetic must not drift
+    lam = eigenvalues_of(sample_goe(200, derive_stream(11, 0)))
+    inp = FreeConvInput(theta_sq=0.25, eigenvalues=lam)
+    assert classical_location_t(60, 200, inp, grid_points=801) == -0.7084750805216922
+
+
 def test_classical_location_t_mass_deficit_error():
     # a huge inversion eta leaks mass far outside the support window
     inp = FreeConvInput(theta_sq=0.25)
