@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import experiments
 from . import statistics as stats
 from .ensembles import DeformationSelector, EnsembleSpec, sample_matrix
-from .experiments import _jsonable, _write_json
+from .experiments import DEFAULT_SEED
 from .flow import FlowParams, decompose_sample, evolve
 from .free_conv import FreeConvInput, density_from_stieltjes, solve_m_t
 from .rng import derive_stream, trial_map
@@ -38,8 +39,6 @@ from .spectral import (
 )
 
 __all__ = ["AcceptanceSuite", "CriterionResult", "run_acceptance", "DEFAULT_SEED"]
-
-DEFAULT_SEED = 1729
 
 # Disjoint stream-index blocks, one per sampling purpose, so no two purposes
 # ever read the same keystream.
@@ -464,8 +463,6 @@ class AcceptanceSuite:
 
     def criterion_determinism(self):
         """Byte-identical artifacts for thread counts 1 and 4, every kind."""
-        from .experiments import ExperimentConfig, run
-
         start = time.perf_counter()
         configs = _determinism_configs(self.seed)
         mismatches = []
@@ -475,10 +472,10 @@ class AcceptanceSuite:
                 outputs = {}
                 for threads in (1, 4):
                     out_dir = scratch / f"{name}-t{threads}"
-                    cfg = ExperimentConfig.from_dict(
+                    cfg = experiments.ExperimentConfig.from_dict(
                         {**cfg_dict, "threads": threads, "out_dir": str(out_dir)}
                     )
-                    run(cfg)
+                    experiments.run(cfg)
                     outputs[threads] = {
                         p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
                     }
@@ -533,30 +530,24 @@ def _determinism_configs(seed):
     ]
 
 
-def run_acceptance(seed=DEFAULT_SEED, threads=1, scale=1.0, out_dir=None,
-                   echo=print):
-    """Run all 11 criteria, print one line each, optionally write the report.
+def run_acceptance(seed, threads, scale):
+    """Run all 11 criteria, print one line each, and return the report.
 
-    The written report carries only deterministic fields (no wall times), so
-    acceptance artifacts are byte-identical across thread counts.
+    The report carries only deterministic fields (no wall times), so it is
+    byte-identical across thread counts; ``experiments.run`` writes it.
     """
     suite = AcceptanceSuite(seed=seed, threads=threads, scale=scale)
     results = []
     for criterion in suite.all_criteria():
-        res = criterion()
-        results.append(res)
-        if echo is not None:
-            echo(res.line())
-    payload = {
+        results.append(criterion())
+        print(results[-1].line())
+    return {
         "seed": int(seed),
         "scale": scale,
         "criteria": [
             {"number": r.number, "name": r.name, "passed": bool(r.passed),
-             "details": _jsonable(r.details)}
+             "details": r.details}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
     }
-    if out_dir is not None:
-        _write_json(Path(out_dir) / "acceptance_report.json", payload)
-    return payload

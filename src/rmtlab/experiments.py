@@ -8,14 +8,17 @@ reduced in trial order, and scheduling knobs (thread count, output directory)
 are excluded from both the config hash and the artifact bytes, so reruns at a
 different thread count produce byte-identical files.
 
-Every artifact starts with a header carrying the config hash and the master
-seed (a ``#`` line for CSV, top-level keys for JSON).
+Each runner computes and returns its artifacts as data; ``run`` is the only
+writer.  Every CSV starts with a ``#`` line carrying the config hash and the
+master seed, and every JSON artifact carries both as top-level keys except
+``acceptance_report.json``, which carries only the seed.
 """
 
 import hashlib
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -28,7 +31,7 @@ from .flow import FlowParams
 from .free_conv import FreeConvInput, density_on_support, deviation_report
 from .rng import derive_stream
 from .rng import trial_map  # noqa: F401  (rebound here by perfbench's tracer)
-from .spectral import eigenvalues_of, local_law_deviation
+from .spectral import LOCAL_LAW_PREFACTOR, eigenvalues_of, local_law_deviation
 
 __all__ = [
     "ExperimentConfig",
@@ -48,7 +51,7 @@ def _real(name, value):
     """A finite JSON number (int or float, not bool) as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, ±inf or an int past any double
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -56,6 +59,7 @@ def _real(name, value):
 def _integer(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    _real(name, value)  # the same finiteness rule
     return int(value)
 
 
@@ -102,7 +106,8 @@ FLOW_FIELDS = {"t": (_real, 0.0), "profile": (_profile, None), "mean_f": (_real,
 STATS_FIELDS = {
     "spectrum": {},
     "local-law": {"e_list": (_reals, (-1.0, -0.5, 0.0, 0.5, 1.0)),
-                  "eta_list": (_reals, (0.01, 0.1)), "prefactor": (_real, 5.0)},
+                  "eta_list": (_reals, (0.01, 0.1)),
+                  "prefactor": (_real, LOCAL_LAW_PREFACTOR)},
     "gaps": {"kappa": (_real, 0.25), "bins": (_integer, 50)},
     "repulsion": {"index": (_integer, None), "tau": (_real, None),
                   "threshold": (_real, None)},
@@ -285,20 +290,18 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, cfg_hash, seed, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write(path, content, cfg_hash, seed):
+    """One artifact: a CSV table ``(header, rows)`` under its config line, or
+    a JSON payload."""
     with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg_hash} seed={seed}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path, payload):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        if isinstance(content, tuple):
+            header, rows = content
+            fh.write(f"# config_hash={cfg_hash} seed={seed}\n{header}\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            json.dump(_jsonable(content), fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 def emit_histogram(samples, bins, value_range=None):
@@ -325,66 +328,52 @@ def _spectra(cfg, r):
     return stats.sample_spectra(r.spec, cfg.trials, cfg.seed, threads=cfg.threads)
 
 
-def _run_spectrum(cfg, r, out):
+# Each runner maps (config, Resolved) to (results, files): ``files`` maps an
+# artifact name to a CSV table (header, rows) or a JSON payload, in the order
+# ``run`` writes and reports them.
+
+def _run_spectrum(cfg, r):
     spectra = _spectra(cfg, r)
-    h = cfg.config_hash()
-    artifacts = []
-    for k, lam in enumerate(spectra):
-        path = out / f"spectrum_{k:04d}.csv"
-        _write_csv(path, h, cfg.seed, "index,eigenvalue",
-                   [(j, v) for j, v in enumerate(lam)])
-        artifacts.append(path)
+    files = {f"spectrum_{k:04d}.csv": ("index,eigenvalue", list(enumerate(lam)))
+             for k, lam in enumerate(spectra)}
     results = {
         "trials": cfg.trials,
         "min_eigenvalue": float(min(s[0] for s in spectra)),
         "max_eigenvalue": float(max(s[-1] for s in spectra)),
     }
-    return results, artifacts
+    return results, files
 
 
-def _run_local_law(cfg, r, out):
+def _run_local_law(cfg, r):
     spec, s = r.spec, r.stats
     grid = np.array([e + 1j * eta for eta in s["eta_list"] for e in s["e_list"]])
     q = spec.q if spec.kind != "goe" else math.sqrt(spec.n)
     reports = [local_law_deviation(lam, grid, q, s["prefactor"])
                for lam in _spectra(cfg, r)]
-    rows = []
-    n_pass = 0
-    for rep in reports:
-        for j in range(grid.size):
-            rows.append((rep.e[j], rep.eta[j], rep.deviation[j],
-                         rep.bound[j], bool(rep.passed[j])))
-            n_pass += int(rep.passed[j])
-    path = out / "local_law.csv"
-    _write_csv(path, cfg.config_hash(), cfg.seed, "E,eta,dev,bound,pass", rows)
+    rows = [(rep.e[j], rep.eta[j], rep.deviation[j], rep.bound[j], bool(rep.passed[j]))
+            for rep in reports for j in range(grid.size)]
     results = {
         "pairs": len(rows),
-        "pass_fraction": n_pass / len(rows),
+        "pass_fraction": sum(row[4] for row in rows) / len(rows),
         "max_deviation": float(max(row[2] for row in rows)),
     }
-    return results, [path]
+    return results, {"local_law.csv": ("E,eta,dev,bound,pass", rows)}
 
 
-def _run_gaps(cfg, r, out):
+def _run_gaps(cfg, r):
     per_trial = [stats.bulk_gaps(lam, r.stats["kappa"]) for lam in _spectra(cfg, r)]
     pooled = np.concatenate(per_trial)
     hist = emit_histogram(pooled, r.stats["bins"], (0.0, float(pooled.max())))
-    h = cfg.config_hash()
-    rows = []
-    for k, gaps in enumerate(per_trial):
-        rows.extend((k, j, g) for j, g in enumerate(gaps))
-    gaps_path = out / "gaps.csv"
-    _write_csv(gaps_path, h, cfg.seed, "trial,index,gap", rows)
-    hist_path = out / "gaps_hist.csv"
-    _write_csv(hist_path, h, cfg.seed, "bin_left,bin_right,count,density", hist)
+    rows = [(k, j, g) for k, gaps in enumerate(per_trial) for j, g in enumerate(gaps)]
     results = {
         "samples": int(pooled.size),
         "mean_gap": float(pooled.mean()),
     }
-    return results, [gaps_path, hist_path]
+    return results, {"gaps.csv": ("trial,index,gap", rows),
+                     "gaps_hist.csv": ("bin_left,bin_right,count,density", hist)}
 
 
-def _run_repulsion(cfg, r, out):
+def _run_repulsion(cfg, r):
     i = r.spec.n // 2 - 1 if r.stats["index"] is None else r.stats["index"]
     est = stats.level_repulsion_probability(
         r.spec, i, cfg.trials, cfg.seed, tau=r.stats["tau"],
@@ -400,12 +389,10 @@ def _run_repulsion(cfg, r, out):
         "threshold": est.threshold,
         "trials": est.trials,
     }
-    path = out / "repulsion.json"
-    _write_json(path, payload)
-    return payload, [path]
+    return payload, {"repulsion.json": payload}
 
 
-def _run_flow_compare(cfg, r, out):
+def _run_flow_compare(cfg, r):
     spec, params = r.spec, r.params
     i = spec.n // 2 - 1 if r.stats["index"] is None else r.stats["index"]
     cut = stats.CutoffSpec.from_n_tau(spec.n, r.stats["tau"])
@@ -423,12 +410,10 @@ def _run_flow_compare(cfg, r, out):
         "seed": r.seed,
         "config_hash": cfg.config_hash(),
     }
-    path = out / "flow_compare.json"
-    _write_json(path, payload)
-    return payload, [path]
+    return payload, {"flow_compare.json": payload}
 
 
-def _run_free_conv(cfg, r, out):
+def _run_free_conv(cfg, r):
     s = r.stats
     if s["base"] == "sample":
         lam = eigenvalues_of(sample_matrix(r.spec, derive_stream(cfg.seed, 0)))
@@ -438,20 +423,18 @@ def _run_free_conv(cfg, r, out):
     profile = density_on_support(inp, s["grid_points"], s["eta"])
     dev_grid = np.linspace(-2.0, 2.0, s["dev_points"])
     rep = deviation_report(inp, dev_grid, s["dev_eta"])
-    h = cfg.config_hash()
-    density_path = out / "density.csv"
-    _write_csv(density_path, h, cfg.seed, "E,rho", list(zip(profile.grid, profile.rho)))
-    dev_path = out / "deviation.csv"
-    _write_csv(dev_path, h, cfg.seed, "E,eta,dev_m,dev_rho",
-               list(zip(rep.e, rep.eta, rep.dev_m, rep.dev_rho)))
     results = {
         "mass": profile.mass(),
         "max_dev_m": float(rep.dev_m.max()),
     }
-    return results, [density_path, dev_path]
+    return results, {
+        "density.csv": ("E,rho", list(zip(profile.grid, profile.rho))),
+        "deviation.csv": ("E,eta,dev_m,dev_rho",
+                          list(zip(rep.e, rep.eta, rep.dev_m, rep.dev_rho))),
+    }
 
 
-def _run_green_compare(cfg, r, out):
+def _run_green_compare(cfg, r):
     spec, params, s = r.spec, r.params, r.stats
     eta = 1.0 / spec.n if s["eta"] is None else s["eta"]
     zs = [complex(e, eta) for e in s["e_list"]]
@@ -470,21 +453,15 @@ def _run_green_compare(cfg, r, out):
         ],
         "trials": cfg.trials,
     }
-    path = out / "green_compare.json"
-    _write_json(path, payload)
-    return payload, [path]
+    return payload, {"green_compare.json": payload}
 
 
-def _run_acceptance(cfg, r, out):
+def _run_acceptance(cfg, r):
     from .acceptance import run_acceptance
 
-    report = run_acceptance(seed=cfg.seed, threads=cfg.threads,
-                            scale=r.stats["scale"], out_dir=out)
-    results = {
-        "passed": all(c["passed"] for c in report["criteria"]),
-        "criteria": report["criteria"],
-    }
-    return results, [out / "acceptance_report.json"]
+    report = run_acceptance(r.seed, cfg.threads, r.stats["scale"])
+    results = {"passed": report["all_passed"], "criteria": report["criteria"]}
+    return results, {"acceptance_report.json": report}
 
 
 _RUNNERS = {
@@ -502,33 +479,35 @@ _RUNNERS = {
 def run(config: ExperimentConfig):
     """Execute one experiment; writes artifacts and returns the report.
 
-    Runners compute before they write, so a rejected config writes nothing."""
+    The runner computes every artifact before the first is written, so a
+    rejected config or a failed computation writes nothing."""
     resolved = config.validate()
-    out = Path(config.out_dir)
     start = time.perf_counter()
-    results, artifacts = _RUNNERS[config.experiment](config, resolved, out)
+    results, files = _RUNNERS[config.experiment](config, resolved)
     elapsed = time.perf_counter() - start
 
-    report = RunReport(
+    cfg_hash = config.config_hash()
+    if config.experiment != "acceptance":
+        files["report.json"] = {
+            "experiment": config.experiment,
+            "config_hash": cfg_hash,
+            "seed": resolved.seed,
+            "config": config.hashable_dict(),
+            "results": results,
+        }
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        _write(out / name, content, cfg_hash, resolved.seed)
+    return RunReport(
         experiment=config.experiment,
-        config_hash=config.config_hash(),
+        config_hash=cfg_hash,
         seed=resolved.seed,
         config=config.hashable_dict(),
         results=results,
-        artifacts=[str(p) for p in artifacts],
+        artifacts=[str(out / name) for name in files],
         wall_clock_s=elapsed,
     )
-    if config.experiment != "acceptance":
-        report_path = out / "report.json"
-        _write_json(report_path, {
-            "experiment": report.experiment,
-            "config_hash": report.config_hash,
-            "seed": report.seed,
-            "config": report.config,
-            "results": _jsonable(results),
-        })
-        report.artifacts.append(str(report_path))
-    return report
 
 
 def _jsonable(obj):

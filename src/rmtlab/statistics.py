@@ -243,54 +243,37 @@ def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
 class ObservableSpec:
     """Test function from a fixed catalog, product form across its arity.
 
-    gaussian_bump   exp(1 - 1/(1 - u^2)) on |u| < 1, u = (x - center)/width
-    cosine_bump     (1 + cos(pi u))/2 on |u| < 1
-
-    center may be a scalar or a per-axis sequence.
+    gaussian_bump   exp(1 - 1/(1 - u^2)) on |u| < 1, u = (x - center)/width,
+                    on every axis around the one center
     """
 
     kind: str
     arity: int = 1
-    center: float | tuple = 0.0
+    center: float = 0.0
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian_bump", "cosine_bump"):
+        if self.kind != "gaussian_bump":
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
         if self.width <= 0:
             raise ValueError("width must be positive")
 
-    def centers(self):
-        c = np.asarray(self.center, dtype=float).ravel()
-        if c.size == 1:
-            return np.full(self.arity, c[0])
-        if c.size != self.arity:
-            raise ValueError(f"{c.size} centers for arity {self.arity}")
-        return c
-
     def support(self):
-        """Per-axis (lo, hi) support bounds."""
-        c = self.centers()
-        return [(ci - self.width, ci + self.width) for ci in c]
+        """(lo, hi) support bounds, the same on every axis."""
+        return self.center - self.width, self.center + self.width
 
     def __call__(self, *args):
         """Evaluate at points; each arg is the array of one coordinate."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(args)}")
-        args = [np.asarray(a, dtype=float) for a in args]
-        c = self.centers()
         out = 1.0
-        for x, ci in zip(args, c):
-            u = (x - ci) / self.width
+        for x in args:
+            u = (np.asarray(x, dtype=float) - self.center) / self.width
             inside = np.abs(u) < 1.0
             u = np.where(inside, u, 0.0)
-            if self.kind == "gaussian_bump":
-                vals = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
-            else:
-                vals = np.where(inside, 0.5 * (1.0 + np.cos(np.pi * u)), 0.0)
-            out = out * vals
+            out = out * np.where(inside, np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
         return out
 
 
@@ -301,12 +284,12 @@ class CorrelationEstimate:
     n_spectra: int
 
 
-def correlation_average(spectra, e, b, obs: ObservableSpec, grid_points=64):
+def correlation_average(spectra, e, b, obs: ObservableSpec):
     """Energy-window-averaged n-point correlation estimator.
 
     Computes (1/2b) * integral over E' in [E-b, E+b] of the expected sum over
     ordered distinct index tuples of O(N rho_sc(E) (lambda_i1 - E'), ...),
-    with the E' integral evaluated on a midpoint grid and the tuple sums
+    with the E' integral evaluated on a 64-point midpoint grid and the tuple sums
     restricted to eigenvalues inside the observable's support window.  The
     expectation is the mean over the supplied spectra; the standard error is
     across spectra.
@@ -318,38 +301,31 @@ def correlation_average(spectra, e, b, obs: ObservableSpec, grid_points=64):
         raise ValueError("need at least one spectrum")
     if b <= 0:
         raise ValueError("b must be positive")
-    if grid_points < 64:
-        raise ValueError("grid must have at least 64 points")
     n = spectra[0].shape[0]
     if any(s.shape[0] != n for s in spectra):
         raise ValueError("all spectra must have equal length")
     scale = n * rho_sc(np.asarray(e, dtype=float))
     if scale <= 0:
         raise ValueError("E must lie strictly inside the bulk (-2, 2)")
+    grid_points = 64
     step = 2.0 * b / grid_points
     eprimes = e - b + step * (np.arange(grid_points) + 0.5)
-    support = obs.support()
-
-    def window(lam, eprime, lo, hi):
-        a = np.searchsorted(lam, eprime + lo / scale, side="left")
-        z = np.searchsorted(lam, eprime + hi / scale, side="right")
-        return lam[a:z]
+    lo, hi = obs.support()
 
     per_spectrum = np.empty(len(spectra))
     for si, lam in enumerate(spectra):
         total = 0.0
         for eprime in eprimes:
+            a = np.searchsorted(lam, eprime + lo / scale, side="left")
+            z = np.searchsorted(lam, eprime + hi / scale, side="right")
+            xs = scale * (lam[a:z] - eprime)
             if obs.arity == 1:
-                xs = scale * (window(lam, eprime, *support[0]) - eprime)
                 total += float(obs(xs).sum())
-            else:
-                x1 = scale * (window(lam, eprime, *support[0]) - eprime)
-                x2 = scale * (window(lam, eprime, *support[1]) - eprime)
-                if x1.size and x2.size:
-                    vals = obs(x1[:, None], x2[None, :])
-                    # ordered distinct pairs: drop coincident eigenvalues
-                    same = x1[:, None] == x2[None, :]
-                    total += float(vals.sum() - vals[same].sum())
+            elif xs.size:
+                vals = obs(xs[:, None], xs[None, :])
+                # ordered distinct pairs: drop coincident eigenvalues
+                same = xs[:, None] == xs[None, :]
+                total += float(vals.sum() - vals[same].sum())
         per_spectrum[si] = total / grid_points
     se = (
         float(per_spectrum.std(ddof=1) / math.sqrt(len(spectra)))

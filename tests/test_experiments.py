@@ -1,10 +1,15 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmtlab.acceptance as acceptance
 import rmtlab.cli as cli
+import rmtlab.experiments as experiments
+import rmtlab.statistics as statistics
+from rmtlab.acceptance import _determinism_configs
 from rmtlab.experiments import (
     ENSEMBLE_FIELDS,
     EXPERIMENT_KINDS,
@@ -307,10 +312,15 @@ def explicit(value):
     ({"experiment": "flow-compare", "ensemble": ER,
       "flow": {"t": 0.01, "profile": {"type": "explicit", "values": [[1e-9] * 20] * 20}}},
      "flow: profile entries must lie in"),
+    # JSON integers beyond the double range
+    ({"experiment": "gaps", "ensemble": GOE, "stats": {"kappa": 10 ** 400}},
+     "kappa must be finite"),
+    ({"experiment": "spectrum", "ensemble": {**ER, "n": 10 ** 400}},
+     "ensemble: n must be finite"),
 ], ids=["bins-float", "index-float", "dev-points-float", "flow-t-string", "flow-t-bool",
         "q-exponent-string", "kappa-string", "profile-lo-string", "bins-bool",
         "prefactor-nan", "e-list-nan", "free-conv-eta-nan", "dev-eta-nan",
-        "flow-profile-infinity", "flow-profile-tiny"])
+        "flow-profile-infinity", "flow-profile-tiny", "kappa-huge-int", "n-huge-int"])
 def test_cli_rejects_malformed_numbers_before_writing(tmp_path, capsys, config,
                                                       message):
     assert_cli_exits_2(tmp_path, capsys, config, message)
@@ -343,7 +353,7 @@ NUMERIC_FIELDS = [
                          ids=[f"{k}-{s}.{f}" for k, s, f, _ in NUMERIC_FIELDS])
 def test_field_table_rejects_non_numbers(kind, section, key, parse):
     assert ExperimentConfig.from_dict(valid_config(kind)).validation_errors() == []
-    bad_values = [NAN, "1", True] + ([2.5] if parse is _integer else [])
+    bad_values = [NAN, "1", True, 10 ** 400] + ([2.5] if parse is _integer else [])
     for bad in bad_values:
         cfg = valid_config(kind)
         cfg[section] = {**cfg.get(section, {}), key: [bad] if parse is _reals else bad}
@@ -420,6 +430,63 @@ def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
         "ensemble": {"n": 80, "kind": "goe"},
     }))
     assert cli.main(["spectrum", "--config", str(config)]) == 3
+
+
+# The last library call each runner makes before ``run`` writes.
+LAST_CALL = {
+    "spectrum": (statistics, "sample_spectra"),
+    "local-law": (experiments, "local_law_deviation"),
+    "gaps": (experiments, "emit_histogram"),
+    "repulsion": (statistics, "level_repulsion_probability"),
+    "flow-compare": (statistics, "chi_q_flow_comparison"),
+    "free-conv": (experiments, "deviation_report"),
+    "green-compare": (statistics, "green_trace_comparison"),
+    "acceptance": (acceptance, "run_acceptance"),
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_cli_numerical_failure_in_a_runner_writes_nothing(tmp_path, monkeypatch,
+                                                         capsys, kind):
+    owner, name = LAST_CALL[kind]
+
+    def explode(*args, **kwargs):
+        raise NumericalError(f"{name} failed", residual=0.5)
+
+    monkeypatch.setattr(owner, name, explode)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(valid_config(kind)))
+    out = tmp_path / "out"
+    assert cli.main([kind, "--config", str(path), "--out", str(out)]) == 3
+    assert f"{name} failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, config", _determinism_configs(1729),
+                         ids=[name for name, _ in _determinism_configs(1729)])
+def test_run_writes_exactly_the_reported_artifacts(tmp_path, name, config):
+    out = tmp_path / "out"
+    report = run(ExperimentConfig.from_dict({**config, "out_dir": str(out)}))
+    paths = [Path(p) for p in report.artifacts]
+    assert {p.parent for p in paths} == {out}
+    names = [p.name for p in paths]
+    assert sorted(names) == sorted(p.name for p in out.iterdir())
+    assert names[-1] == "report.json"  # after the files the runner returned
+
+
+def test_cli_acceptance_prints_every_criterion_and_writes_only_its_report(tmp_path,
+                                                                          capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "acceptance", "stats": {"scale": 0.01}}))
+    out = tmp_path / "out"
+    assert cli.main(["acceptance", "--config", str(path), "--out", str(out)]) == 0
+    lines = re.findall(r"^\[ ?(\d+)/11\] (?:PASS|FAIL) ", capsys.readouterr().out,
+                       re.MULTILINE)
+    assert lines == [str(k) for k in range(1, 12)]
+    assert [p.name for p in out.iterdir()] == ["acceptance_report.json"]
+    report = json.loads((out / "acceptance_report.json").read_text())
+    assert set(report) == {"seed", "scale", "criteria", "all_passed"}
+    assert (report["seed"], report["scale"], len(report["criteria"])) == (1729, 0.01, 11)
 
 
 def test_cli_numerical_failure_names_trial_and_residual(tmp_path, monkeypatch, capsys):
