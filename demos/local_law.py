@@ -8,14 +8,14 @@ the deviation and the envelope across a ladder of resolutions.
 import numpy as np
 
 from rmtlab import EnsembleSpec, derive_stream
-from rmtlab.ensembles import sample_erdos_renyi
+from rmtlab.ensembles import sample_matrix
 from rmtlab.spectral import eigenvalues_of, local_law_deviation
 
 SEED = 20250808
 N = 1000
 
 spec = EnsembleSpec(n=N, kind="erdos_renyi", q_exponent=0.4)
-lam = eigenvalues_of(sample_erdos_renyi(spec, derive_stream(SEED, 0)))
+lam = eigenvalues_of(sample_matrix(spec, derive_stream(SEED, 0)))
 print(f"one sparse draw: N={N}, q={spec.q:.2f}, 1/q={1/spec.q:.4f}\n")
 
 etas = [10.0, 1.0, 0.1, N ** -0.5, 10.0 / N, 2.0 / N]

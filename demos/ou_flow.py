@@ -9,15 +9,15 @@ both facts numerically and prints theta_t across time.
 import numpy as np
 
 from rmtlab import EnsembleSpec, FlowParams, decompose_sample, derive_stream, evolve, theta_t
-from rmtlab.ensembles import sample_erdos_renyi
+from rmtlab.ensembles import sample_matrix, upper_triangle
 
 SEED = 20250808
 N = 300
 
 spec = EnsembleSpec(n=N, kind="erdos_renyi", q_exponent=0.4)
-h0 = sample_erdos_renyi(spec, derive_stream(SEED, 0))
+h0 = sample_matrix(spec, derive_stream(SEED, 0))
 f = spec.entry_mean
-iu = np.triu_indices(N)
+iu = upper_triangle(N)
 
 print(f"{'t':>8}  {'theta_t':>8}  {'mean drift':>11}  {'var / (1/N)':>11}")
 for k, t in enumerate((0.0, 0.01, 0.1, 0.5, 2.0, 10.0)):

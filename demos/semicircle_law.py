@@ -9,7 +9,7 @@ to semicircle_hist.csv for external plotting.
 import numpy as np
 
 from rmtlab import EnsembleSpec, derive_stream, ks_distance_to_cdf
-from rmtlab.ensembles import sample_erdos_renyi
+from rmtlab.ensembles import sample_matrix
 from rmtlab.experiments import emit_histogram
 from rmtlab.spectral import eigenvalues_of, rho_sc, semicircle_cdf
 
@@ -23,7 +23,7 @@ print(f"rank-one mean coefficient gamma*q = {spec.rank_one_mean:.2f}")
 
 pooled = []
 for k in range(TRIALS):
-    lam = eigenvalues_of(sample_erdos_renyi(spec, derive_stream(SEED, k)))
+    lam = eigenvalues_of(sample_matrix(spec, derive_stream(SEED, k)))
     print(f"  trial {k}: bulk in [{lam[0]:+.3f}, {lam[-2]:+.3f}], "
           f"outlier lambda_N = {lam[-1]:.2f}")
     pooled.append(lam[:-1])  # the outlier tracks the mean, not the bulk law

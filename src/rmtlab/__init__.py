@@ -16,11 +16,9 @@ from .ensembles import (
     DeformationSelector,
     EnsembleSpec,
     SymmetricTridiagonal,
-    sample_erdos_renyi,
     sample_goe,
     sample_goe_tridiagonal,
     sample_matrix,
-    sample_sparse_generic,
 )
 from .errors import (
     AccuracyError,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments
 from . import statistics as stats
-from .ensembles import DeformationSelector, EnsembleSpec, sample_matrix
+from .ensembles import DeformationSelector, EnsembleSpec, sample_matrix, upper_triangle
 from .experiments import DEFAULT_SEED
 from .flow import FlowParams, decompose_sample, evolve
 from .free_conv import FreeConvInput, density_from_stieltjes, solve_m_t
@@ -40,8 +40,9 @@ from .spectral import (
 
 __all__ = ["AcceptanceSuite", "CriterionResult", "run_acceptance", "DEFAULT_SEED"]
 
-# Disjoint stream-index blocks, one per sampling purpose, so no two purposes
-# ever read the same keystream.
+# Disjoint stream-index blocks of _BLOCK indices, one per sampling purpose, so
+# no two purposes ever read the same keystream.
+_BLOCK = 1 << 20
 _BASE_SPARSE_1000 = 0
 _BASE_GOE_1000 = 1 << 20
 _BASE_SEMICIRCLE = 2 << 20
@@ -73,15 +74,22 @@ class CriterionResult:
 
 class AcceptanceSuite:
     def __init__(self, seed=DEFAULT_SEED, threads=1, scale=1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < _BLOCK:
+            raise ValueError(f"scale must lie in (0, {_BLOCK}), got {scale}")
         self.seed = int(seed)
         self.threads = int(threads)
         self.scale = float(scale)
         self._spectra_cache = {}
+        streams = 4 * sum(self._flow_law_trials())  # the most of any purpose
+        if streams > _BLOCK:
+            raise ValueError(f"scale {scale}: criterion 6 reads {streams} > {_BLOCK} streams")
 
     def _trials(self, nominal, minimum=4):
         return max(minimum, int(round(nominal * self.scale)))
+
+    def _flow_law_trials(self):
+        """Criterion 6's moment trials and spectrum pairs; four streams each."""
+        return self._trials(10_000), self._trials(200)
 
     def _spectra(self, spec: EnsembleSpec, trials, base):
         key = (spec.kind, spec.n, spec.q_exponent, trials, base)
@@ -257,8 +265,8 @@ class AcceptanceSuite:
         n, t = 200, 0.5
         spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
         params = FlowParams(n=n, t=t, mean=spec.entry_mean)
-        trials = self._trials(10_000)
-        iu = np.triu_indices(n)
+        trials, ks_trials = self._flow_law_trials()
+        iu = upper_triangle(n)
         f = spec.entry_mean
 
         def one(k):
@@ -291,8 +299,6 @@ class AcceptanceSuite:
         dmean = abs(mom["evolve"]["mean"] - mom["decompose"]["mean"])
         dvar = abs(mom["evolve"]["var"] - mom["decompose"]["var"])
         moments_ok = dmean <= 4.0 * se_mean and dvar <= 4.0 * se_var
-
-        ks_trials = self._trials(200)
 
         def spectrum_pair(k):
             pair = self._flow_pair(spec, params, _BASE_FLOW_LAW + 4 * (trials + k))

@@ -1,8 +1,8 @@
 """Samplers for the random matrix ensembles under study.
 
-The matrix samplers return dense real symmetric ``(n, n)`` arrays whose
-symmetry is exact: the upper triangle (diagonal included) is drawn and
-mirrored.  Matrices are plain ndarrays; treat them as immutable once sampled.
+``sample_matrix`` is the one dense sampler: it draws the upper triangle
+(diagonal included) in the packed order of ``upper_triangle(n)``, which the
+flow's entry noise follows too, and mirrors it into a fresh (n, n) array.
 ``sample_goe_tridiagonal`` instead returns a ``SymmetricTridiagonal`` whose
 eigenvalues have the GOE law, for runs that need only the spectrum.
 
@@ -16,6 +16,7 @@ part is the rank-one matrix ``f |e><e|`` with ``e = (1,..,1)/sqrt(n)`` and
 every entry.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,12 +28,11 @@ from .rng import RngStream
 __all__ = [
     "EnsembleSpec",
     "DeformationSelector",
-    "sample_erdos_renyi",
     "sample_goe",
     "sample_goe_tridiagonal",
     "SymmetricTridiagonal",
-    "sample_sparse_generic",
     "sample_matrix",
+    "upper_triangle",
     "alternating_profile",
 ]
 
@@ -114,12 +114,6 @@ class EnsembleSpec:
     def entry_mean(self):
         return self.rank_one_mean / self.n
 
-    def variance_profile(self):
-        """Full (n, n) matrix of entry variances s_ij."""
-        if self.profile is not None:
-            return self.profile
-        return np.full((self.n, self.n), 1.0 / self.n)
-
 
 def _profile_errors(profile, n):
     errs = []
@@ -158,35 +152,44 @@ class DeformationSelector:
             raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
 
 
-def _symmetric_from_upper(n, values, iu):
-    """Symmetric (n, n) matrix with ``values`` at the upper-triangle index
-    pair ``iu = np.triu_indices(n)`` and mirrored below it."""
+@functools.cache
+def upper_triangle(n):
+    """Row and column indices of the upper triangle, diagonal included, in the
+    packed order every entrywise draw uses; cached per n and read-only."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+@functools.cache
+def _goe_weight(n):
+    """(1 + delta_ij)/2 in packed order: the GOE entry variance times n/2."""
+    rows, cols = upper_triangle(n)
+    w = np.where(rows == cols, 1.0, 0.5)
+    w.flags.writeable = False
+    return w
+
+
+def _upper_profile(profile, n):
+    """s_ij in packed order; the uniform profile (None) is the scalar 1/n."""
+    return 1.0 / n if profile is None else profile[upper_triangle(n)]
+
+
+def _symmetric_from_upper(n, values):
+    """(n, n) matrix with ``values`` at ``upper_triangle(n)``, mirrored below."""
+    rows, cols = upper_triangle(n)
     out = np.empty((n, n))
-    out[iu] = values
-    out[iu[1], iu[0]] = values
+    out[rows, cols] = values
+    out[cols, rows] = values
     return out
-
-
-def sample_erdos_renyi(spec: EnsembleSpec, rng: RngStream):
-    """Sparse Erdos-Renyi matrix: entries (gamma/q) * Bernoulli(q^2/n)."""
-    if spec.kind != "erdos_renyi":
-        raise ValueError(f"spec.kind must be 'erdos_renyi', got {spec.kind!r}")
-    n, q = spec.n, spec.q
-    p = q * q / n
-    scale = spec.gamma / q
-    m = n * (n + 1) // 2
-    vals = scale * rng.bernoulli(p, size=m)
-    return _symmetric_from_upper(n, vals, np.triu_indices(n))
 
 
 def sample_goe(n, rng: RngStream):
     """GOE matrix: off-diagonal N(0, 1/n), diagonal N(0, 2/n)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    iu = np.triu_indices(n)
-    variance = np.where(iu[0] == iu[1], 2.0 / n, 1.0 / n)
-    vals = rng.gaussian(0.0, variance, size=iu[0].shape[0])
-    return _symmetric_from_upper(n, vals, iu)
+    w = _goe_weight(n)
+    return _symmetric_from_upper(n, rng.gaussian(0.0, (2.0 / n) * w, size=w.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,31 +228,22 @@ def sample_goe_tridiagonal(n, rng: RngStream):
     return SymmetricTridiagonal(diag, offdiag)
 
 
-def sample_sparse_generic(spec: EnsembleSpec, rng: RngStream):
-    """Centered sparse entries rescaled to an admissible variance profile.
-
-    Each centered entry is sqrt(n*s_ij) times the centered Erdos-Renyi entry
-    (gamma/q)(Bernoulli(q^2/n) - q^2/n), so it has mean 0, variance s_ij and
-    k-th moment bounded by C^k / (n q^(k-2)).  The mean f is added back as
-    f/n on every entry.
-    """
-    if spec.kind != "sparse_generic":
-        raise ValueError(f"spec.kind must be 'sparse_generic', got {spec.kind!r}")
-    n, q = spec.n, spec.q
-    p = q * q / n
-    scale = spec.gamma / q
-    iu = np.triu_indices(n)
-    s_upper = spec.variance_profile()[iu]
-    m = iu[0].shape[0]
-    bern = rng.bernoulli(p, size=m)
-    centered = np.sqrt(n * s_upper) * scale * (bern - p)
-    return _symmetric_from_upper(n, centered + spec.entry_mean, iu)
-
-
 def sample_matrix(spec: EnsembleSpec, rng: RngStream):
-    """Dispatch on spec.kind."""
+    """One matrix of spec's law, one uniform per upper-triangle entry.
+
+    erdos_renyi draws (gamma/q) Bernoulli(q^2/n).  sparse_generic rescales the
+    centered entry (gamma/q)(Bernoulli(q^2/n) - q^2/n) by sqrt(n s_ij), so it
+    has mean 0, variance s_ij and k-th moment bounded by C^k / (n q^(k-2)),
+    and adds the mean f back as f/n on every entry.  goe is ``sample_goe``.
+    """
+    n = spec.n
+    if spec.kind == "goe":
+        return sample_goe(n, rng)
+    q = spec.q
+    p, scale = q * q / n, spec.gamma / q
+    bern = rng.bernoulli(p, size=n * (n + 1) // 2)
     if spec.kind == "erdos_renyi":
-        return sample_erdos_renyi(spec, rng)
-    if spec.kind == "sparse_generic":
-        return sample_sparse_generic(spec, rng)
-    return sample_goe(spec.n, rng)
+        return _symmetric_from_upper(n, scale * bern)
+    s = _upper_profile(spec.profile, n)
+    centered = np.sqrt(n * s) * scale * (bern - p)
+    return _symmetric_from_upper(n, centered + spec.entry_mean)

@@ -69,6 +69,13 @@ def _reals(name, value):
     return [_real(f"{name}[{j}]", v) for j, v in enumerate(value)]
 
 
+def _scale(name, value):
+    """An acceptance scale; the suite rejects one that overruns a stream block."""
+    from .acceptance import AcceptanceSuite
+
+    return AcceptanceSuite(scale=_real(name, value)).scale
+
+
 def _choice(*options):
     def parse(name, value):
         if value not in options:
@@ -119,7 +126,7 @@ STATS_FIELDS = {
     "green-compare": {"e_list": (_reals, (0.0,)), "eta": (_real, None),
                       "f_kind": (_choice("im", "re"), "im"), "kappa": (_real, 0.1),
                       "delta": (_real, 0.5)},
-    "acceptance": {"scale": (_real, 1.0)},
+    "acceptance": {"scale": (_scale, 1.0)},
 }
 EXPERIMENT_KINDS = tuple(STATS_FIELDS)
 
@@ -197,7 +204,8 @@ class ExperimentConfig:
 
         if self.experiment not in EXPERIMENT_KINDS:
             errs.append(f"unknown experiment {self.experiment!r}")
-        bounds = {"trials": (1, math.inf), "seed": (0, 2 ** 64 - 1),
+        # trials: at most the stream block the acceptance suite gives a purpose
+        bounds = {"trials": (1, 2 ** 20), "seed": (0, 2 ** 64 - 1),
                   "threads": (1, math.inf)}
         ints = {}
         for key, (lo, hi) in bounds.items():

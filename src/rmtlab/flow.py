@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _profile_errors, _symmetric_from_upper, sample_goe
+from .ensembles import (_goe_weight, _profile_errors, _symmetric_from_upper,
+                        _upper_profile, sample_goe, upper_triangle)
 from .errors import InfeasibleDecompositionError
 from .rng import RngStream
 
@@ -65,15 +66,10 @@ class FlowParams:
         if problems:
             raise ValueError("; ".join(problems))
 
-    def variance_profile(self):
-        if self.profile is not None:
-            return self.profile
-        return np.full((self.n, self.n), 1.0 / self.n)
-
     @property
     def r(self):
         """min over i <= j of n s_ij."""
-        return float(self.n * self.variance_profile().min())
+        return float(self.n * np.min(_upper_profile(self.profile, self.n)))
 
     @property
     def theta(self):
@@ -90,14 +86,15 @@ class FlowSample:
     theta: float
 
 
-def _flow_kernel(h0, params: FlowParams, iu, s, variance, rng: RngStream):
+def _flow_kernel(h0, params: FlowParams, s, variance, rng: RngStream):
     """f + exp(-t/(2 n s_ij)) (h0_ij - f) + Normal(0, variance) on the upper
-    triangle ``iu`` (with profile values ``s``), filled symmetric."""
+    triangle (with packed profile values ``s``), filled symmetric."""
     n = params.n
+    rows, cols = upper_triangle(n)
     decay = np.exp(-params.t / (2.0 * n * s))
-    vals = params.mean + decay * (h0[iu] - params.mean)
-    vals = vals + rng.gaussian(0.0, variance, size=s.shape[0])
-    return _symmetric_from_upper(n, vals, iu)
+    vals = params.mean + decay * (h0[rows, cols] - params.mean)
+    vals = vals + rng.gaussian(0.0, variance, size=rows.size)
+    return _symmetric_from_upper(n, vals)
 
 
 def evolve(h0, params: FlowParams, rng: RngStream):
@@ -107,10 +104,9 @@ def evolve(h0, params: FlowParams, rng: RngStream):
         raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
     if params.t == 0:
         return h0.copy()
-    iu = np.triu_indices(n)
-    s = params.variance_profile()[iu]
+    s = _upper_profile(params.profile, n)
     noise_var = s * -np.expm1(-params.t / (n * s))
-    return _flow_kernel(h0, params, iu, s, noise_var, rng)
+    return _flow_kernel(h0, params, s, noise_var, rng)
 
 
 def decompose_sample(h0, params: FlowParams, rng: RngStream):
@@ -124,15 +120,11 @@ def decompose_sample(h0, params: FlowParams, rng: RngStream):
     n = params.n
     if h0.shape != (n, n):
         raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
-    iu = np.triu_indices(n)
-    s = params.variance_profile()[iu]
+    s = _upper_profile(params.profile, n)
     r = params.r
-    theta = params.theta
-    goe_weight = np.where(iu[0] == iu[1], 1.0, 0.5)
-    resid_var = s * -np.expm1(-params.t / (n * s)) - goe_weight * (
-        r / n
-    ) * -np.expm1(-params.t / r)
-    tol = 1e-12 * float(s.max())
+    resid_var = (s * -np.expm1(-params.t / (n * s))
+                 - _goe_weight(n) * (r / n) * -np.expm1(-params.t / r))
+    tol = 1e-12 * float(np.max(s))
     if resid_var.min() < -tol:
         raise InfeasibleDecompositionError(
             f"negative residual variance {resid_var.min():.3e}: "
@@ -142,9 +134,10 @@ def decompose_sample(h0, params: FlowParams, rng: RngStream):
 
     # The residual noise is drawn at t = 0 too, so the GOE part always reads
     # the same stretch of the stream.
-    h1 = _flow_kernel(h0, params, iu, s, resid_var, rng)
+    h1 = _flow_kernel(h0, params, s, resid_var, rng)
     if params.t == 0:
         h1 = h0.copy()
 
+    theta = theta_t(params.t, r)
     goe = sample_goe(n, rng)
     return FlowSample(h1 + theta * goe, h1, goe, theta)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from rmtlab.ensembles import (
     EnsembleSpec,
     alternating_profile,
-    sample_erdos_renyi,
     sample_goe,
     sample_goe_tridiagonal,
-    sample_sparse_generic,
+    sample_matrix,
+    upper_triangle,
 )
 from rmtlab.rng import RngStream, derive_stream
 from rmtlab.spectral import eigenvalues_of
@@ -17,13 +17,13 @@ from rmtlab.statistics import bulk_gaps, ks_distance
 
 
 def upper(h):
-    return h[np.triu_indices(h.shape[0])]
+    return h[upper_triangle(h.shape[0])]
 
 
 def pooled_abs_moments(samples, k, mean):
     """E|h_ij - mean|^k per upper entry over the samples, then pooled off the
     diagonal and on it."""
-    iu = np.triu_indices(samples[0].shape[0])
+    iu = upper_triangle(samples[0].shape[0])
     per_entry = np.mean([np.abs(h[iu] - mean) ** k for h in samples], axis=0)
     off = iu[0] != iu[1]
     return float(per_entry[off].mean()), float(per_entry[~off].mean())
@@ -33,7 +33,7 @@ def test_erdos_renyi_centered_variance_is_one_over_n():
     # Var(h_ij) = gamma^2 (q^2/N)(1 - q^2/N)/q^2 = 1/N holds exactly in law;
     # the pooled Monte Carlo estimate must sit within 4 standard errors.
     spec = EnsembleSpec(n=1000, kind="erdos_renyi", q_exponent=0.4)
-    b = upper(sample_erdos_renyi(spec, derive_stream(8, 0)) - spec.entry_mean)
+    b = upper(sample_matrix(spec, derive_stream(8, 0)) - spec.entry_mean)
     m2 = np.mean(b * b)
     m4 = np.mean(b ** 4)
     se = np.sqrt((m4 - m2 * m2) / b.size)
@@ -42,7 +42,7 @@ def test_erdos_renyi_centered_variance_is_one_over_n():
 
 def test_erdos_renyi_entry_mean_is_gamma_q_over_n():
     spec = EnsembleSpec(n=1000, kind="erdos_renyi", q_exponent=0.4)
-    h = sample_erdos_renyi(spec, derive_stream(8, 1))
+    h = sample_matrix(spec, derive_stream(8, 1))
     x = upper(h)
     se = x.std() / np.sqrt(x.size)
     assert spec.rank_one_mean == spec.gamma * spec.q
@@ -53,7 +53,7 @@ def test_erdos_renyi_third_moment_bound():
     # Monte Carlo check of E|b|^3 <= C^3/(N q) with C = 2 over 1e6 entries.
     spec = EnsembleSpec(n=1000, kind="erdos_renyi", q_exponent=0.4)
     samples = [
-        sample_erdos_renyi(spec, derive_stream(8, 2 + k)) for k in range(2)
+        sample_matrix(spec, derive_stream(8, 2 + k)) for k in range(2)
     ]
     off, diag = pooled_abs_moments(samples, 3, spec.entry_mean)
     assert max(off, diag) <= 8.0 / (1000 * spec.q)
@@ -68,7 +68,7 @@ def test_goe_entry_variances():
     # Monte Carlo bands, 4 sigma: offdiag 0.1 +- 0.005, diag 0.2 +- 0.01 at N=10
     n, trials = 10, 100_000
     rng = derive_stream(13, 0)
-    iu = np.triu_indices(n)
+    iu = upper_triangle(n)
     offs = np.empty(trials)
     diags = np.empty(trials)
     for k in range(trials):
@@ -91,8 +91,8 @@ def test_sparse_generic_uniform_profile_matches_centered_erdos_renyi():
     # centered Erdos-Renyi entry law, bernoulli draw for bernoulli draw.
     er = EnsembleSpec(n=300, kind="erdos_renyi", q_exponent=0.4)
     sg = EnsembleSpec(n=300, kind="sparse_generic", q_exponent=0.4)
-    b_er = sample_erdos_renyi(er, derive_stream(77, 5)) - er.entry_mean
-    b_sg = sample_sparse_generic(sg, derive_stream(77, 5))
+    b_er = sample_matrix(er, derive_stream(77, 5)) - er.entry_mean
+    b_sg = sample_matrix(sg, derive_stream(77, 5))
     assert np.allclose(b_er, b_sg, rtol=0, atol=1e-15)
 
 
@@ -101,12 +101,12 @@ def test_sparse_generic_alternating_profile_variances():
     profile = alternating_profile(n, 0.8, 1.2)
     spec = EnsembleSpec(n=n, kind="sparse_generic", q_exponent=0.4,
                         profile=profile)
-    iu = np.triu_indices(n)
+    iu = upper_triangle(n)
     lo_mask = profile[iu] < 1.0 / n
     acc = np.zeros(iu[0].size)
     trials = 400
     for k in range(trials):
-        b = upper(sample_sparse_generic(spec, derive_stream(99, k)))
+        b = upper(sample_matrix(spec, derive_stream(99, k)))
         acc += b * b
     per_entry = acc / trials
     # pooled per class: >= 1e5 draws each, so 5% is comfortably 4 sigma
@@ -117,7 +117,7 @@ def test_sparse_generic_alternating_profile_variances():
 def test_sparse_generic_mean():
     spec = EnsembleSpec(n=200, kind="sparse_generic", q_exponent=0.4, mean_f=0.5)
     vals = np.concatenate([
-        upper(sample_sparse_generic(spec, derive_stream(31, k))) for k in range(50)
+        upper(sample_matrix(spec, derive_stream(31, k))) for k in range(50)
     ])
     se = vals.std() / np.sqrt(vals.size)
     assert abs(vals.mean() - 0.5 / 200) <= 4 * se
@@ -132,7 +132,7 @@ def test_profile_bounds_enforced():
 
 def test_moment_report_second_moment_erdos_renyi():
     spec = EnsembleSpec(n=1000, kind="erdos_renyi", q_exponent=0.4)
-    samples = [sample_erdos_renyi(spec, derive_stream(55, k)) for k in range(2)]
+    samples = [sample_matrix(spec, derive_stream(55, k)) for k in range(2)]
     off, _ = pooled_abs_moments(samples, 2, spec.entry_mean)
     assert off == pytest.approx(1.0 / 1000, rel=0.01)
 
@@ -142,13 +142,6 @@ def test_moment_report_goe_fourth_moment():
     samples = [sample_goe(10, derive_stream(56, k)) for k in range(20_000)]
     off, _ = pooled_abs_moments(samples, 4, 0.0)
     assert off == pytest.approx(3.0 / 100, rel=0.10)
-
-
-def test_samplers_reject_mismatched_kind():
-    with pytest.raises(ValueError):
-        sample_erdos_renyi(EnsembleSpec(n=10, kind="goe"), derive_stream(0, 0))
-    with pytest.raises(ValueError):
-        sample_sparse_generic(EnsembleSpec(n=10, kind="goe"), derive_stream(0, 0))
 
 
 @settings(max_examples=60, deadline=None)

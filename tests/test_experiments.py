@@ -20,6 +20,7 @@ from rmtlab.experiments import (
     _integer,
     _real,
     _reals,
+    _scale,
     emit_histogram,
     run,
 )
@@ -326,6 +327,34 @@ def test_cli_rejects_malformed_numbers_before_writing(tmp_path, capsys, config,
     assert_cli_exits_2(tmp_path, capsys, config, message)
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "spectrum", "ensemble": GOE, "trials": 10 ** 18},
+     "trials must lie in [1, 1048576]"),
+    ({"experiment": "spectrum", "ensemble": GOE, "trials": 2 ** 20 + 1},
+     "trials must lie in [1, 1048576]"),
+    ({"experiment": "acceptance", "stats": {"scale": 26}},
+     "stats: scale 26.0: criterion 6 reads 1060800 > 1048576 streams"),
+    ({"experiment": "acceptance", "stats": {"scale": 30}},
+     "stats: scale 30.0: criterion 6 reads 1224000 > 1048576 streams"),
+    ({"experiment": "acceptance", "stats": {"scale": 1e300}},
+     "stats: scale must lie in (0, 1048576)"),
+    ({"experiment": "acceptance", "stats": {"scale": 0}},
+     "stats: scale must lie in (0, 1048576)"),
+], ids=["trials-1e18", "trials-block-plus-one", "scale-26", "scale-30",
+        "scale-1e300", "scale-zero"])
+def test_cli_rejects_configs_that_leave_a_stream_block(tmp_path, capsys, config,
+                                                        message):
+    assert_cli_exits_2(tmp_path, capsys, config, message)
+
+
+def test_largest_trials_and_scale_inside_the_stream_blocks_validate():
+    for cfg in ({"experiment": "spectrum", "ensemble": GOE, "trials": 2 ** 20},
+                {"experiment": "acceptance", "stats": {"scale": 25.7}}):
+        assert ExperimentConfig.from_dict(cfg).validation_errors() == []
+    suite = acceptance.AcceptanceSuite(scale=25.7)
+    assert 4 * sum(suite._flow_law_trials()) <= acceptance._BLOCK
+
+
 def valid_config(kind):
     """A config of this kind that validates, with every section it reads."""
     cfg = {"experiment": kind}
@@ -345,7 +374,7 @@ NUMERIC_FIELDS = [
                            ("stats", STATS_FIELDS[kind]))
     if section == "stats" or section in valid_config(kind)
     for key, (parse, _) in table.items()
-    if parse in (_real, _integer, _reals)
+    if parse in (_real, _integer, _reals, _scale)
 ]
 
 
@@ -400,7 +429,7 @@ def test_flow_params_default_to_the_ensemble_profile():
     })
     spec = cfg.ensemble_spec()
     params = cfg.flow_params(spec)
-    assert np.array_equal(params.variance_profile(), spec.variance_profile())
+    assert np.array_equal(params.profile, spec.profile)
     assert params.r == pytest.approx(0.8)
     cfg.flow["profile"] = "uniform"
     assert cfg.flow_params(spec).profile is None
@@ -515,7 +544,7 @@ def test_profile_round_trip(tmp_path):
         "out_dir": str(tmp_path),
     })
     spec = cfg.ensemble_spec()
-    assert spec.variance_profile().min() == pytest.approx(0.8 / 40)
+    assert spec.profile.min() == pytest.approx(0.8 / 40)
     run(cfg)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmtlab.ensembles import EnsembleSpec, sample_erdos_renyi
+from rmtlab.ensembles import EnsembleSpec, sample_matrix, upper_triangle
 from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import eigenvalues_of
@@ -9,7 +9,7 @@ from rmtlab.statistics import ks_distance
 
 
 def upper(h):
-    return h[np.triu_indices(h.shape[0])]
+    return h[upper_triangle(h.shape[0])]
 
 
 def test_theta_t_zero_time():
@@ -42,7 +42,7 @@ def test_theta_t_validation():
 
 def test_evolve_time_zero_is_identity():
     spec = EnsembleSpec(n=50, kind="erdos_renyi", q_exponent=0.4)
-    h0 = sample_erdos_renyi(spec, derive_stream(1, 0))
+    h0 = sample_matrix(spec, derive_stream(1, 0))
     params = FlowParams(n=50, t=0.0, mean=spec.entry_mean)
     assert np.array_equal(evolve(h0, params, derive_stream(1, 1)), h0)
 
@@ -60,7 +60,7 @@ def test_evolve_preserves_mean_and_variance():
         params = FlowParams(n=100, t=t, mean=f)
         vals = []
         for k in range(60):
-            h0 = sample_erdos_renyi(spec, derive_stream(2, base + 2 * k))
+            h0 = sample_matrix(spec, derive_stream(2, base + 2 * k))
             ht = evolve(h0, params, derive_stream(2, base + 2 * k + 1))
             vals.append(upper(ht))
         x = np.concatenate(vals)
@@ -79,7 +79,7 @@ def test_evolve_long_time_reaches_stationary_gaussian():
     params = FlowParams(n=n, t=50.0, mean=spec.entry_mean)
     vals = []
     for k in range(10):
-        h0 = sample_erdos_renyi(spec, derive_stream(3, 2 * k))
+        h0 = sample_matrix(spec, derive_stream(3, 2 * k))
         vals.append(upper(evolve(h0, params, derive_stream(3, 2 * k + 1))))
     x = np.concatenate(vals) - spec.entry_mean
     assert x.size >= 100_000
@@ -94,7 +94,7 @@ def test_evolve_semigroup_in_law():
     f = spec.entry_mean
     two_step, one_step = [], []
     for k in range(100):
-        h0 = sample_erdos_renyi(spec, derive_stream(4, 4 * k))
+        h0 = sample_matrix(spec, derive_stream(4, 4 * k))
         a = evolve(h0, FlowParams(n=n, t=s, mean=f), derive_stream(4, 4 * k + 1))
         a = evolve(a, FlowParams(n=n, t=t, mean=f), derive_stream(4, 4 * k + 2))
         b = evolve(h0, FlowParams(n=n, t=s + t, mean=f), derive_stream(4, 4 * k + 3))
@@ -110,7 +110,7 @@ def test_evolve_semigroup_in_law():
 
 def test_decompose_reconstruction_identity():
     spec = EnsembleSpec(n=80, kind="erdos_renyi", q_exponent=0.4)
-    h0 = sample_erdos_renyi(spec, derive_stream(5, 0))
+    h0 = sample_matrix(spec, derive_stream(5, 0))
     params = FlowParams(n=80, t=0.7, mean=spec.entry_mean)
     fs = decompose_sample(h0, params, derive_stream(5, 1))
     assert np.abs(fs.h_t - (fs.h_t1 + fs.theta * fs.goe_part)).max() <= 1e-12
@@ -119,7 +119,7 @@ def test_decompose_reconstruction_identity():
 
 def test_decompose_time_zero():
     spec = EnsembleSpec(n=40, kind="erdos_renyi", q_exponent=0.4)
-    h0 = sample_erdos_renyi(spec, derive_stream(5, 2))
+    h0 = sample_matrix(spec, derive_stream(5, 2))
     fs = decompose_sample(h0, FlowParams(n=40, t=0.0), derive_stream(5, 3))
     assert np.array_equal(fs.h_t1, h0)
     assert np.array_equal(fs.h_t, h0)
@@ -136,11 +136,11 @@ def test_decompose_matches_evolve_moments():
     ev, de = [], []
     for k in range(400):
         h_e = evolve(
-            sample_erdos_renyi(spec, derive_stream(6, 4 * k)),
+            sample_matrix(spec, derive_stream(6, 4 * k)),
             params, derive_stream(6, 4 * k + 1),
         )
         h_d = decompose_sample(
-            sample_erdos_renyi(spec, derive_stream(6, 4 * k + 2)),
+            sample_matrix(spec, derive_stream(6, 4 * k + 2)),
             params, derive_stream(6, 4 * k + 3),
         ).h_t
         ev.append(upper(h_e))
@@ -166,11 +166,11 @@ def test_decompose_matches_evolve_spectra():
     ev, de = [], []
     for k in range(trials):
         h_e = evolve(
-            sample_erdos_renyi(spec, derive_stream(7, 4 * k)),
+            sample_matrix(spec, derive_stream(7, 4 * k)),
             params, derive_stream(7, 4 * k + 1),
         )
         h_d = decompose_sample(
-            sample_erdos_renyi(spec, derive_stream(7, 4 * k + 2)),
+            sample_matrix(spec, derive_stream(7, 4 * k + 2)),
             params, derive_stream(7, 4 * k + 3),
         ).h_t
         ev.append(eigenvalues_of(h_e))

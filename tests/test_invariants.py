@@ -2,14 +2,23 @@
 
 Exact symmetry, the t = 0 identity of the flow, and a fixed count of uniforms
 per call: the count is what keeps stream addressing, and so every artifact,
-independent of the values drawn.
+independent of the values drawn.  The uniform profile, held as the scalar 1/n,
+gives the bytes of the explicit 1/n matrix, and the cached packed layout is
+never shared with a caller.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmtlab.ensembles import KINDS, EnsembleSpec, alternating_profile, sample_matrix
+from rmtlab.ensembles import (
+    KINDS,
+    EnsembleSpec,
+    alternating_profile,
+    sample_matrix,
+    upper_triangle,
+)
 from rmtlab.flow import FlowParams, decompose_sample, evolve
 from rmtlab.rng import RngStream
 
@@ -87,3 +96,32 @@ def test_decompose_sample_is_symmetric_draws_twice_and_is_identity_at_t0(spec, s
     assert stream.drawn == 2 * upper_size(spec.n)
     if t == 0:
         assert fs.h_t.tobytes() == h0.tobytes()
+
+
+@SETTINGS
+@given(n=st.integers(2, 30), seed=SEED, t=TIME)
+def test_uniform_profile_gives_the_bytes_of_the_explicit_one_over_n_profile(n, seed, t):
+    outputs = []
+    for profile in (None, np.full((n, n), 1.0 / n)):
+        spec = EnsembleSpec(n=n, kind="sparse_generic", profile=profile)
+        params = FlowParams(n=n, t=t, profile=profile, mean=spec.entry_mean)
+        h0 = sample_matrix(spec, RngStream(seed, 0))
+        ht = evolve(h0, params, RngStream(seed, 1))
+        fs = decompose_sample(h0, params, RngStream(seed, 2))
+        arrays = (h0, ht, fs.h_t, fs.h_t1, fs.goe_part)
+        outputs.append(([a.tobytes() for a in arrays], fs.theta, params.r))
+    assert outputs[0] == outputs[1]
+
+
+@SETTINGS
+@given(spec=specs(), seed=SEED)
+def test_packed_layout_is_read_only_and_never_shared_with_a_draw(spec, seed):
+    rows, cols = upper_triangle(spec.n)
+    with pytest.raises(ValueError):
+        rows[0] = 1
+    with pytest.raises(ValueError):
+        cols[-1] = 0
+    h = sample_matrix(spec, RngStream(seed, 0))
+    first = h.tobytes()
+    h.fill(np.nan)
+    assert sample_matrix(spec, RngStream(seed, 0)).tobytes() == first

@@ -47,6 +47,6 @@ def test_every_public_function_has_a_caller_outside_tests():
         for path in directory.rglob("*.py"):
             read |= names_read(path)
     functions = list(public_functions())
-    assert len(functions) > 40  # the walk found the package
+    assert ("rmtlab.ensembles", "sample_matrix") in functions  # the walk found the package
     unused = [f"{module}.{name}" for module, name in functions if name not in read]
     assert not unused, f"public functions with no caller outside tests: {unused}"

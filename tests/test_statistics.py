@@ -420,3 +420,23 @@ def test_sample_spectra_equals_the_serial_reference_loop(kind, n, trials, seed,
                                  threads=threads, select=select)
             assert got.shape == (trials, n if select is None else 3)
             assert np.array_equal(got, expect)
+
+
+@settings(max_examples=4, deadline=None)
+@given(kind=st.sampled_from(sorted(_PIPELINE_SPECS)), n=st.integers(8, 24),
+       trials=st.integers(2, 5), seed=st.integers(0, 2 ** 64 - 1),
+       t=st.floats(1e-4, 1.0))
+def test_coupled_comparisons_do_not_depend_on_thread_count(kind, n, trials, seed, t):
+    spec = _PIPELINE_SPECS[kind](n)
+    params = FlowParams(n=n, t=t, profile=spec.profile, mean=spec.entry_mean)
+    cut = CutoffSpec.from_n_tau(n, 0.2)
+    zs = [0.0 + 1j / n, 0.3 + 1j / n]
+    chi = [chi_q_flow_comparison(spec, params, n // 2 - 1, cut, trials, seed,
+                                 threads=threads)
+           for threads in (1, 3)]
+    green = [green_trace_comparison(spec, params, zs, "im", trials, seed,
+                                    threads=threads)
+             for threads in (1, 3)]
+    assert vars(chi[0]) == vars(chi[1])
+    for field in ("z", "diff", "se"):
+        assert getattr(green[0], field).tobytes() == getattr(green[1], field).tobytes()
