@@ -28,8 +28,8 @@ for e, r in zip(grid, rho):
 
 print("\natom at 0, theta^2 = 1: the radius-2 semicircle")
 atom = FreeConvInput(theta_sq=1.0, eigenvalues=np.zeros(1))
-for e in (0.0, 1.0, 1.9, 2.5):
-    r = density_profile(atom, [e], eta=1e-6)[0]
+energies = (0.0, 1.0, 1.9, 2.5)
+for e, r in zip(energies, density_profile(atom, energies, eta=1e-6)):
     exact = np.sqrt(max(4.0 - e * e, 0.0)) / (2 * np.pi)
     print(f"  E={e:+.2f}  rho_t={r:.5f}  exact={exact:.5f}")
 
@@ -37,8 +37,8 @@ print("\nempirical GOE base, theta^2 = 0.1: classical locations barely move")
 n = 400
 lam = eigenvalues_of(sample_goe(n, derive_stream(SEED, 0)))
 emp = FreeConvInput(theta_sq=0.1, eigenvalues=lam)
-for i in (100, 199, 300):
+indices = np.array([100, 199, 300])
+for i, gt in zip(indices, classical_location_t(indices, n, emp)):
     g0 = classical_location(i, n)
-    gt = classical_location_t(i, n, emp)
     print(f"  i={i:3d}  gamma_i={g0:+.4f}  gamma_i,t={gt:+.4f}  "
           f"shift={gt - g0:+.4f}")

@@ -65,6 +65,8 @@ class EnsembleSpec:
         problems = self.validation_errors()
         if problems:
             raise ValueError("; ".join(problems))
+        if self.profile is not None:
+            object.__setattr__(self, "profile", np.asarray(self.profile, dtype=float))
 
     def validation_errors(self):
         errs = []

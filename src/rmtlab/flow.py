@@ -62,9 +62,11 @@ class FlowParams:
             raise ValueError(f"t must be finite and nonnegative, got {self.t}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        problems = [] if self.profile is None else _profile_errors(self.profile, self.n)
-        if problems:
-            raise ValueError("; ".join(problems))
+        if self.profile is not None:
+            problems = _profile_errors(self.profile, self.n)
+            if problems:
+                raise ValueError("; ".join(problems))
+            object.__setattr__(self, "profile", np.asarray(self.profile, dtype=float))
 
     @property
     def r(self):

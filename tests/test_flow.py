@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmtlab.ensembles import EnsembleSpec, sample_matrix, upper_triangle
+from rmtlab.ensembles import EnsembleSpec, alternating_profile, sample_matrix, upper_triangle
 from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import eigenvalues_of
@@ -185,3 +185,17 @@ def test_flow_params_profile_r():
     profile[0, 1] = profile[1, 0] = 0.5 / n
     params = FlowParams(n=n, t=1.0, profile=profile)
     assert params.r == pytest.approx(0.5)
+
+
+def test_list_profile_samples_and_flows_like_the_array():
+    n = 6
+    profile = alternating_profile(n, 0.5, 2.0)
+    outputs = []
+    for given_profile in (profile, profile.tolist()):
+        spec = EnsembleSpec(n=n, kind="sparse_generic", profile=given_profile)
+        params = FlowParams(n=n, t=0.3, profile=given_profile)
+        h0 = sample_matrix(spec, derive_stream(5, 0))
+        outputs.append((h0, evolve(h0, params, derive_stream(5, 1)),
+                        decompose_sample(h0, params, derive_stream(5, 2)).h_t))
+    for from_array, from_list in zip(*outputs):
+        assert np.array_equal(from_array, from_list)

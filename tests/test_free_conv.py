@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rmtlab.free_conv as free_conv
 from rmtlab.ensembles import sample_goe
-from rmtlab.errors import AccuracyError
+from rmtlab.errors import AccuracyError, BranchError, FixedPointError
+from rmtlab.experiments import ExperimentConfig, run
 from rmtlab.free_conv import (
+    MAX_FIXED_POINT,
+    MAX_NEWTON,
+    RESIDUAL_TOL,
     DensityProfile,
     FreeConvInput,
     classical_location_t,
@@ -20,6 +27,165 @@ from rmtlab.spectral import (
     eigenvalues_of,
     m_sc,
 )
+
+
+def reference_solve_m_t(z, inp, tol=RESIDUAL_TOL):
+    """The solver one point at a time, as it ran before it took blocks of
+    points: returns (m_t(z), Newton steps taken)."""
+    lam, v = inp.eigenvalues, inp.theta_sq
+
+    def m0(w):
+        return m_sc(w) if lam is None else np.mean(1.0 / (lam - w))
+
+    def m0_prime(w):
+        if lam is None:
+            m = m_sc(w)
+            return m * m / (1.0 - m * m)
+        return np.mean(1.0 / (lam - w) ** 2)
+
+    def residual(m):
+        return abs(m - m0(z + v * m))
+
+    def branch_checked(m):
+        if m.imag < 0:
+            raise BranchError("solution drifted below the real axis")
+        return m
+
+    z = complex(z)
+    if v == 0.0:
+        return complex(m0(z)), 0
+    m = complex(m_sc(z))
+    for _ in range(MAX_FIXED_POINT):
+        nxt = 0.5 * m + 0.5 * m0(z + v * m)
+        if abs(nxt - m) < 0.25 * tol and residual(nxt) <= tol:
+            return branch_checked(nxt), 0
+        m = nxt
+    if residual(m) <= tol:
+        return branch_checked(m), 0
+    steps = 0
+    for _ in range(MAX_NEWTON):
+        w = z + v * m
+        f = m - m0(w)
+        if abs(f) <= tol:
+            return branch_checked(m), steps
+        fp = 1.0 - v * m0_prime(w)
+        if fp == 0:
+            break
+        m = m - f / fp
+        steps += 1
+        if m.imag < 0:
+            raise BranchError("Newton iterate left the upper half plane")
+    if residual(m) <= tol:
+        return branch_checked(m), steps
+    raise FixedPointError("no convergence", residual=residual(m))
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+# Base [-1, 0, 1] at theta^2 = 0.25 and z = 0.5 + 0.001i stalls the damped
+# iteration and is finished by Newton steps.
+NEWTON_BASE, NEWTON_THETA_SQ, NEWTON_Z = [-1.0, 0.0, 1.0], 0.25, 0.5 + 0.001j
+
+
+def test_newton_case_reaches_the_newton_tail():
+    inp = FreeConvInput(NEWTON_THETA_SQ, eigenvalues=np.array(NEWTON_BASE))
+    m, steps = reference_solve_m_t(NEWTON_Z, inp)
+    assert steps > 0
+    assert bits([solve_m_t(NEWTON_Z, inp)]) == bits([m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+    theta_sq=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    eta=st.floats(1e-5, 1.0),
+    energies=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40),
+    block_points=st.integers(1, 50),
+)
+@example(base=NEWTON_BASE, theta_sq=NEWTON_THETA_SQ, eta=NEWTON_Z.imag,
+         energies=[-1.0, NEWTON_Z.real, 2.0], block_points=2)
+def test_block_solver_matches_the_point_solver_bit_for_bit(base, theta_sq, eta,
+                                                           energies, block_points):
+    inp = FreeConvInput(theta_sq, eigenvalues=np.array(base))
+    z = np.array([complex(e, eta) for e in energies])
+    expected = [reference_solve_m_t(zk, inp)[0] for zk in z]
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of block_points points, so that block edges fall inside z
+        mp.setattr(free_conv, "BLOCK_BYTES", 16 * len(base) * block_points)
+        got = solve_m_t(z, inp)
+    assert bits(got) == bits(expected)
+    assert bits([solve_m_t(zk, inp) for zk in z]) == bits(expected)
+
+
+def test_block_convergence_test_reads_the_modulus_of_one_value():
+    # np.abs on a complex array can differ from abs() of one value in the last
+    # bit, which could move a point's exit step by one iteration
+    d = np.random.default_rng(5).normal(size=(20_000, 2)) @ np.array([1.0, 1j]) * 1e-13
+    assert free_conv._modulus(d).tolist() == [abs(x) for x in d]
+
+
+@settings(max_examples=5, deadline=None)
+@given(theta_sq=st.floats(1e-3, 2.0), eta=st.floats(1e-5, 1.0),
+       energies=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=20))
+def test_block_solver_on_the_semicircle_base_matches_the_point_solver(theta_sq, eta,
+                                                                      energies):
+    inp = FreeConvInput(theta_sq)
+    z = np.array([complex(e, eta) for e in energies])
+    assert bits(solve_m_t(z, inp)) == bits([reference_solve_m_t(zk, inp)[0] for zk in z])
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.05, 1.5), energies=st.lists(st.floats(-4.0, 4.0), min_size=1,
+                                                     max_size=20),
+       eta=st.floats(0.01, 1.0))
+def test_semicircle_base_deforms_to_the_scaled_semicircle(theta, energies, eta):
+    # semicircle (+) theta-semicircle is the semicircle of variance 1 + theta^2
+    s = np.sqrt(1.0 + theta * theta)
+    z = np.array([complex(e, eta) for e in energies])
+    oracle = np.array([complex(m_sc(zk / s)) / s for zk in z])
+    got = solve_m_t(z, FreeConvInput(theta * theta))
+    assert np.max(np.abs(got - oracle)) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.05, 1.5), energies=st.lists(st.floats(-4.0, 4.0), min_size=1,
+                                                     max_size=20),
+       eta=st.floats(0.01, 1.0))
+def test_atom_deforms_to_the_radius_two_theta_semicircle(theta, energies, eta):
+    z = np.array([complex(e, eta) for e in energies])
+    oracle = np.array([complex(m_sc(zk / theta)) / theta for zk in z])
+    got = solve_m_t(z, FreeConvInput(theta * theta, eigenvalues=np.zeros(1)))
+    assert np.max(np.abs(got - oracle)) <= 1e-8
+
+
+def reference_grid_solve(z, inp):
+    """The per-point loop the grid callers ran before solve_m_t took arrays."""
+    z = np.asarray(z)
+    return np.array([reference_solve_m_t(zk, inp)[0] for zk in z.reshape(-1)]
+                    ).reshape(z.shape)
+
+
+@pytest.mark.parametrize("theta_sq", [0.25, 1.0])
+@pytest.mark.parametrize("base", ["atom", "sample", "semicircle"])
+def test_free_conv_artifacts_match_the_per_point_solver_byte_for_byte(tmp_path, monkeypatch,
+                                                                     base, theta_sq):
+    # The same config run twice in one process, so that the comparison holds
+    # on any machine: once as it stands, once with the grid solve replaced by
+    # the per-point reference.
+    stats = {"theta_sq": theta_sq, "base": base, "grid_points": 201, "dev_points": 41}
+    cfg = {"experiment": "free-conv", "seed": 5, "stats": stats}
+    if base == "sample":
+        cfg["ensemble"] = {"n": 100, "kind": "erdos_renyi", "q_exponent": 0.4}
+
+    def artifacts(solver, out):
+        monkeypatch.setattr(free_conv, "solve_m_t", solver)
+        run(ExperimentConfig.from_dict({**cfg, "out_dir": str(out)}))
+        return [(out / name).read_bytes() for name in ("density.csv", "deviation.csv")]
+
+    assert artifacts(solve_m_t, tmp_path / "block") == \
+        artifacts(reference_grid_solve, tmp_path / "point")
 
 
 def test_zero_theta_returns_base_transform():
@@ -95,6 +261,9 @@ def test_classical_location_t_reduces_to_semicircle():
         assert classical_location_t(i, n, inp) == pytest.approx(
             classical_location(i, n), abs=1e-6
         )
+    indices = np.array([0, 100, 249])
+    assert classical_location_t(indices, 500, inp).tolist() == [
+        classical_location_t(int(i), 500, inp) for i in indices]
 
 
 def test_classical_location_t_symmetric_base_center():
@@ -116,6 +285,13 @@ def test_classical_location_t_pinned_quantile():
     lam = eigenvalues_of(sample_goe(200, derive_stream(11, 0)))
     inp = FreeConvInput(theta_sq=0.25, eigenvalues=lam)
     assert classical_location_t(60, 200, inp, grid_points=801) == -0.7084750805216922
+    # an index array reads every quantile off one density, with the same bits
+    indices = np.array([0, 60, 199])
+    got = classical_location_t(indices, 200, inp, grid_points=801)
+    assert got.tolist() == [classical_location_t(int(i), 200, inp, grid_points=801)
+                            for i in indices]
+    with pytest.raises(ValueError):
+        classical_location_t(np.array([0, 200]), 200, inp)
 
 
 def test_classical_location_t_mass_deficit_error():
@@ -187,4 +363,16 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve_m_t(1.0 - 0.1j, FreeConvInput(theta_sq=0.1))
     with pytest.raises(ValueError):
+        solve_m_t(np.array([0.1j, 1.0 - 0.1j]), FreeConvInput(theta_sq=0.1))
+    with pytest.raises(ValueError):
         density_from_stieltjes(FreeConvInput(theta_sq=0.1), 0.0, -1e-3)
+    with pytest.raises(ValueError):
+        density_profile(FreeConvInput(theta_sq=0.1), [0.0], eta=0.0)
+
+
+def test_array_solve_raises_the_first_failing_points_error():
+    # tol = 0 cannot be certified: the first point fails in the Newton tail
+    inp = FreeConvInput(NEWTON_THETA_SQ, eigenvalues=np.array(NEWTON_BASE))
+    with pytest.raises(FixedPointError, match=r"z = \(0\.1\+0\.1j\)") as err:
+        solve_m_t(np.array([0.1 + 0.1j, NEWTON_Z]), inp, tol=0.0)
+    assert err.value.residual > 0
