@@ -13,7 +13,6 @@ Subpackages by task:
 """
 
 from .ensembles import (
-    DeformationSelector,
     EnsembleSpec,
     SymmetricTridiagonal,
     sample_goe,
@@ -40,10 +39,10 @@ from .free_conv import (
 )
 from .rng import RngStream, derive_stream, trial_map
 from .spectral import (
+    DeformationSelector,
     SpectralDecomposition,
     bulk_indices,
     classical_location,
-    classical_locations,
     eigenvalue_derivatives,
     eigenvalues_of,
     eigh,

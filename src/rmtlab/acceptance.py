@@ -22,12 +22,13 @@ import numpy as np
 
 from . import experiments
 from . import statistics as stats
-from .ensembles import DeformationSelector, EnsembleSpec, sample_matrix, upper_triangle
+from .ensembles import EnsembleSpec, sample_matrix, upper_triangle
 from .experiments import DEFAULT_SEED
 from .flow import FlowParams, decompose_sample, evolve
 from .free_conv import FreeConvInput, density_from_stieltjes, solve_m_t
 from .rng import derive_stream, trial_map
 from .spectral import (
+    DeformationSelector,
     classical_location,
     eigenvalues_of,
     eigh,
@@ -197,8 +198,7 @@ class AcceptanceSuite:
         start = time.perf_counter()
         sparse, goe, trials = self._universality_spectra()
         n = 1000
-        obs = stats.ObservableSpec(kind="gaussian_bump", arity=2, center=0.0,
-                                   width=4.0)
+        obs = stats.ObservableSpec(center=0.0, width=4.0)
         b = n ** -0.9
         est_s = stats.correlation_average(sparse, 0.0, b, obs)
         est_g = stats.correlation_average(goe, 0.0, b, obs)

@@ -27,7 +27,6 @@ from .rng import RngStream
 
 __all__ = [
     "EnsembleSpec",
-    "DeformationSelector",
     "sample_goe",
     "sample_goe_tridiagonal",
     "SymmetricTridiagonal",
@@ -140,18 +139,6 @@ def alternating_profile(n, lo, hi):
     i = np.arange(n)
     parity = (i[:, None] + i[None, :]) % 2
     return np.where(parity == 0, lo / n, hi / n)
-
-
-@dataclass(frozen=True)
-class DeformationSelector:
-    """Entry position (a, b): 0-based row/column positions with a <= b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < self.a:
-            raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
 
 
 @functools.cache

@@ -231,9 +231,6 @@ class ExperimentConfig:
             params = attempt("flow: ", lambda: self.flow_params(spec))
         return Resolved(ints["seed"], spec, params, stats), errs
 
-    def validation_errors(self):
-        return self._resolve()[1]
-
     def validate(self):
         """The Resolved config; ValueError listing every problem if invalid."""
         resolved, errs = self._resolve()

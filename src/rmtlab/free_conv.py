@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, BranchError, FixedPointError
-from .spectral import classical_location, classical_locations, m_sc, rho_sc
+from .spectral import classical_location, m_sc, rho_sc
 
 __all__ = [
     "FreeConvInput",
@@ -243,7 +243,7 @@ def classical_location_t(i, n, inp: FreeConvInput, eta=DEFAULT_INVERSION_ETA,
     if np.any(idx < 0) or np.any(idx >= n):
         raise ValueError(f"index {i} outside [0, {n - 1}]")
     if inp.theta_sq == 0.0 and inp.eigenvalues is None:
-        return classical_location(i, n) if idx.ndim == 0 else classical_locations(idx, n)
+        return classical_location(i, n)
 
     profile = density_on_support(inp, grid_points, eta)
     grid, rho = profile.grid, profile.rho

@@ -4,7 +4,8 @@ Everything an experiment reads off one matrix lives here: the certified
 eigendecomposition, eigenvalues of dense or tridiagonal matrices (all of them
 or an index window), empirical and semicircle Stieltjes transforms, classical
 eigenvalue locations, the local-law deviation report, and the closed-form
-eigenvalue perturbation derivatives.
+eigenvalue perturbation derivatives along the entry direction a
+``DeformationSelector`` names.
 
 Conventions: eigenvalues ascend; eigenvector ``i`` is column ``i``; all indices
 are 0-based, so the classical location of eigenvalue index ``i`` is the
@@ -18,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ensembles import DeformationSelector, SymmetricTridiagonal
+from .ensembles import SymmetricTridiagonal
 from .errors import DegenerateSpectrumError, NumericalError
 
 __all__ = [
     "SpectralDecomposition",
     "LocalLawReport",
+    "DeformationSelector",
     "eigh",
     "eigenvalues_of",
     "stieltjes_empirical",
@@ -31,7 +33,6 @@ __all__ = [
     "rho_sc",
     "semicircle_cdf",
     "classical_location",
-    "classical_locations",
     "bulk_indices",
     "local_law_deviation",
     "eigenvalue_derivatives",
@@ -144,12 +145,17 @@ def semicircle_cdf(e):
     return 0.5 + (e * np.sqrt(4.0 - e * e) / 4.0 + np.arcsin(e / 2.0)) / np.pi
 
 
-def classical_locations(indices, n):
-    """Vectorized classical locations: gamma solving CDF(gamma) = (i+1)/n."""
-    indices = np.asarray(indices)
-    if np.any(indices < 0) or np.any(indices >= n):
+def classical_location(i, n):
+    """gamma_i with integral_{-inf}^{gamma_i} rho_sc = (i+1)/n, 0-based i.
+
+    i is one index, giving a float, or an array of indices, giving an array.
+    """
+    idx = np.asarray(i)
+    if np.any(idx < 0) or np.any(idx >= n):
         raise ValueError("indices must lie in [0, n-1]")
-    target = (indices + 1.0) / n
+    if np.any(idx == n - 1):
+        warnings.warn("classical location of the top index sits at the edge 2")
+    target = (idx + 1.0) / n
     lo = np.full(target.shape, -2.0)
     hi = np.full(target.shape, 2.0)
     # 60 bisection steps shrink the bracket to 4*2^-60 < 1e-17
@@ -158,14 +164,8 @@ def classical_locations(indices, n):
         below = semicircle_cdf(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def classical_location(i, n):
-    """gamma_i with integral_{-inf}^{gamma_i} rho_sc = (i+1)/n, 0-based i."""
-    if i == n - 1:
-        warnings.warn("classical location of the top index sits at the edge 2")
-    return float(classical_locations(np.array([i]), n)[0])
+    gamma = 0.5 * (lo + hi)
+    return float(gamma) if idx.ndim == 0 else gamma
 
 
 def bulk_indices(n, kappa):
@@ -206,6 +206,18 @@ def local_law_deviation(spectrum, grid, q, prefactor=LOCAL_LAW_PREFACTOR):
     dev = np.abs(stieltjes_empirical(lam, z) - m_sc(z))
     bound = prefactor * (1.0 / q + 1.0 / (n * z.imag))
     return LocalLawReport(z.real, z.imag, dev, bound, dev <= bound)
+
+
+@dataclass(frozen=True)
+class DeformationSelector:
+    """Entry position (a, b): 0-based row/column positions with a <= b."""
+
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if self.a < 0 or self.b < self.a:
+            raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
 
 
 def _direction_overlaps(dec, i, sel):

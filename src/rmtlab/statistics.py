@@ -8,7 +8,9 @@ square sum
 
 measures repulsion around eigenvalue i and is regularized by the saturating
 cutoff chi_M before taking expectations, so that exact degeneracies (Q_i =
-+inf) contribute the finite value M.
++inf) contribute the finite value M.  The windowed correlation average is the
+pair case of the n-point correlation: ordered pairs of distinct rescaled
+eigenvalues weighted by a product of two 1-d bumps.
 
 Monte Carlo estimators draw per-trial streams derived from (seed, stream_base
 + trial), so results do not depend on how trials are scheduled, and coupled
@@ -28,7 +30,7 @@ from .flow import FlowParams, evolve
 from .rng import derive_stream, trial_map
 from .spectral import (
     bulk_indices,
-    classical_locations,
+    classical_location,
     eigenvalues_of,
     rho_sc,
     stieltjes_empirical,
@@ -53,10 +55,6 @@ __all__ = [
     "ks_distance",
     "ks_distance_to_cdf",
 ]
-
-# Audited maxima of |chi'|, |chi''|, |chi'''| for the quintic blend below.
-CHI_DERIVATIVE_BOUNDS = (1.512, 3.941, 36.0)
-
 
 def _as_samples(samples):
     """Sorted finite 1-d sample array; raises on empty or non-finite input."""
@@ -96,9 +94,9 @@ class CutoffSpec:
     """Saturating cutoff chi_M: identity up to M-1, constant M from M on.
 
     The unit-width blend is the quintic Hermite interpolant with endpoint
-    values (M-1, M), slopes (1, 0) and vanishing second derivatives, which
-    keeps |chi(x) - x| <= 1 on [0, M] and derivative maxima
-    CHI_DERIVATIVE_BOUNDS.  In flow experiments M = N^(2 tau).
+    values (M-1, M), slopes (1, 0) and vanishing second derivatives, so chi
+    is C^2 and keeps |chi(x) - x| <= 1 on [0, M].  In flow experiments
+    M = N^(2 tau).
     """
 
     m: float
@@ -112,32 +110,19 @@ class CutoffSpec:
         return cls(m=float(n) ** (2.0 * tau))
 
 
-def chi_m(x, cut: CutoffSpec, order=0):
-    """chi_M(x) or its derivative of the given order (1..3).
+def chi_m(x, cut: CutoffSpec):
+    """chi_M(x) for scalars or arrays of x >= 0, +inf included.
 
-    Accepts scalars or arrays; x = +inf maps to M (derivatives to 0), which
-    is how degenerate-spectrum sentinels enter expectations.
+    x = +inf maps to M, which is how degenerate-spectrum sentinels enter
+    expectations; a negative x, -inf or NaN raises.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order}")
     x = np.asarray(x, dtype=float)
-    if np.any(x[np.isfinite(x)] < 0):
-        raise ValueError("chi_M is defined for x >= 0")
+    if not np.all(x >= 0):
+        raise ValueError("chi_M is defined for x >= 0 and x = +inf")
     m = cut.m
     s = np.clip(x - (m - 1.0), 0.0, 1.0)
-    saturated = x >= m
-    if order == 0:
-        blend = (m - 1.0) + s + s ** 3 * (4.0 - 7.0 * s + 3.0 * s * s)
-        out = np.where(x <= m - 1.0, x, np.where(saturated, m, blend))
-    elif order == 1:
-        blend = 1.0 + s * s * (12.0 - 28.0 * s + 15.0 * s * s)
-        out = np.where(x <= m - 1.0, 1.0, np.where(saturated, 0.0, blend))
-    elif order == 2:
-        blend = s * (24.0 - 84.0 * s + 60.0 * s * s)
-        out = np.where(x <= m - 1.0, 0.0, np.where(saturated, 0.0, blend))
-    else:
-        blend = 24.0 - 168.0 * s + 180.0 * s * s
-        out = np.where(x <= m - 1.0, 0.0, np.where(saturated, 0.0, blend))
+    blend = (m - 1.0) + s + s ** 3 * (4.0 - 7.0 * s + 3.0 * s * s)
+    out = np.where(x <= m - 1.0, x, np.where(x >= m, m, blend))
     return float(out) if out.ndim == 0 else out
 
 
@@ -147,7 +132,10 @@ def bulk_gaps(spectrum, kappa):
     n = lam.shape[0]
     idx = bulk_indices(n, kappa)
     idx = idx[idx + 1 < n]
-    gamma = classical_locations(idx, n)
+    if idx.size == 0:
+        raise ValueError(f"the bulk window of kappa = {kappa} holds no gap "
+                         f"of a spectrum of n = {n}")
+    gamma = classical_location(idx, n)
     return n * rho_sc(gamma) * (lam[idx + 1] - lam[idx])
 
 
@@ -167,10 +155,14 @@ def q_statistic(spectrum, i):
     return float(np.sum(1.0 / (d * d))) / (n * n)
 
 
-def wilson_interval(successes, trials, z=1.959963984540054):
+def wilson_interval(successes, trials):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials], got "
+                         f"successes={successes}, trials={trials}")
+    z = 1.959963984540054  # the two-sided 95% standard normal quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -241,61 +233,46 @@ def level_repulsion_probability(spec: EnsembleSpec, i, trials, seed, *,
 
 @dataclass(frozen=True, eq=False)
 class ObservableSpec:
-    """Test function from a fixed catalog, product form across its arity.
+    """The 1-d bump exp(1 - 1/(1 - u^2)) on |u| < 1, u = (x - center)/width.
 
-    gaussian_bump   exp(1 - 1/(1 - u^2)) on |u| < 1, u = (x - center)/width,
-                    on every axis around the one center
+    ``correlation_average`` applies it to both points of a pair, as the
+    product test function O(x_i) O(x_j).
     """
 
-    kind: str
-    arity: int = 1
     center: float = 0.0
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "gaussian_bump":
-            raise ValueError(f"unknown observable kind {self.kind!r}")
-        if self.arity < 1:
-            raise ValueError("arity must be >= 1")
         if self.width <= 0:
             raise ValueError("width must be positive")
 
     def support(self):
-        """(lo, hi) support bounds, the same on every axis."""
+        """(lo, hi) support bounds."""
         return self.center - self.width, self.center + self.width
 
-    def __call__(self, *args):
-        """Evaluate at points; each arg is the array of one coordinate."""
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} coordinates, got {len(args)}")
-        out = 1.0
-        for x in args:
-            u = (np.asarray(x, dtype=float) - self.center) / self.width
-            inside = np.abs(u) < 1.0
-            u = np.where(inside, u, 0.0)
-            out = out * np.where(inside, np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
-        return out
+    def __call__(self, x):
+        u = (np.asarray(x, dtype=float) - self.center) / self.width
+        inside = np.abs(u) < 1.0
+        u = np.where(inside, u, 0.0)
+        return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
 
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
     value: float
     se: float
-    n_spectra: int
 
 
 def correlation_average(spectra, e, b, obs: ObservableSpec):
-    """Energy-window-averaged n-point correlation estimator.
+    """Energy-window-averaged pair correlation estimator.
 
-    Computes (1/2b) * integral over E' in [E-b, E+b] of the expected sum over
-    ordered distinct index tuples of O(N rho_sc(E) (lambda_i1 - E'), ...),
-    with the E' integral evaluated on a 64-point midpoint grid and the tuple sums
-    restricted to eigenvalues inside the observable's support window.  The
-    expectation is the mean over the supplied spectra; the standard error is
-    across spectra.
+    Computes (1/2b) * integral over E' in [E-b, E+b] of the expected sum,
+    over ordered pairs of distinct eigenvalues, of O(x_i) O(x_j) with
+    x_i = N rho_sc(E) (lambda_i - E').  The E' integral is evaluated on a
+    64-point midpoint grid and the pair sums are restricted to eigenvalues
+    inside the observable's support window.  The expectation is the mean over
+    the supplied spectra; the standard error is across spectra.
     """
-    if obs.arity not in (1, 2):
-        raise ValueError(f"unsupported arity {obs.arity}; only n = 1, 2")
     spectra = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
     if not spectra:
         raise ValueError("need at least one spectrum")
@@ -319,10 +296,9 @@ def correlation_average(spectra, e, b, obs: ObservableSpec):
             a = np.searchsorted(lam, eprime + lo / scale, side="left")
             z = np.searchsorted(lam, eprime + hi / scale, side="right")
             xs = scale * (lam[a:z] - eprime)
-            if obs.arity == 1:
-                total += float(obs(xs).sum())
-            elif xs.size:
-                vals = obs(xs[:, None], xs[None, :])
+            if xs.size:
+                v = obs(xs)
+                vals = v[:, None] * v[None, :]
                 # ordered distinct pairs: drop coincident eigenvalues
                 same = xs[:, None] == xs[None, :]
                 total += float(vals.sum() - vals[same].sum())
@@ -332,7 +308,7 @@ def correlation_average(spectra, e, b, obs: ObservableSpec):
         if len(spectra) > 1
         else math.inf
     )
-    return CorrelationEstimate(float(per_spectrum.mean()), se, len(spectra))
+    return CorrelationEstimate(float(per_spectrum.mean()), se)
 
 
 @dataclass(frozen=True)
@@ -343,8 +319,6 @@ class FlowComparison:
     et: float
     diff: float
     se: float
-    t: float
-    trials: int
 
 
 def _coupled_flow_spectra(spec: EnsembleSpec, params: FlowParams, trials,
@@ -380,10 +354,8 @@ def chi_q_flow_comparison(spec: EnsembleSpec, params: FlowParams, i,
     ])
     diffs = vals[:, 1] - vals[:, 0]
     se = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return FlowComparison(
-        float(vals[:, 0].mean()), float(vals[:, 1].mean()),
-        float(diffs.mean()), se, params.t, trials,
-    )
+    return FlowComparison(float(vals[:, 0].mean()), float(vals[:, 1].mean()),
+                          float(diffs.mean()), se)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,8 +365,6 @@ class GreenComparison:
     z: np.ndarray
     diff: np.ndarray
     se: np.ndarray
-    t: float
-    trials: int
 
 
 def green_trace_comparison(spec: EnsembleSpec, params: FlowParams, zs, f_kind,
@@ -429,4 +399,4 @@ def green_trace_comparison(spec: EnsembleSpec, params: FlowParams, zs, f_kind,
         if trials > 1
         else np.full(zs.shape, math.inf)
     )
-    return GreenComparison(zs, diffs.mean(axis=0), se, params.t, trials)
+    return GreenComparison(zs, diffs.mean(axis=0), se)

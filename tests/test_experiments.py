@@ -143,9 +143,9 @@ def test_config_validation_lists_all_violations():
         "trials": 0,
         "threads": 0,
     })
-    errs = cfg.validation_errors()
-    assert len(errs) >= 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown experiment 'nope'; trials must lie in [1, 1048576], got 0; "
+            "threads must lie in [1, inf], got 0")):
         cfg.validate()
 
 
@@ -347,10 +347,20 @@ def test_cli_rejects_configs_that_leave_a_stream_block(tmp_path, capsys, config,
     assert_cli_exits_2(tmp_path, capsys, config, message)
 
 
+def test_cli_gaps_with_an_empty_bulk_window_exits_2(tmp_path, capsys):
+    # the config validates, but the bulk window of kappa at n = 9 is empty
+    config = {"experiment": "gaps", "ensemble": {"n": 9, "kind": "goe"},
+              "stats": {"kappa": 0.4667}}
+    ExperimentConfig.from_dict(config).validate()
+    assert_cli_exits_2(tmp_path, capsys, config,
+                       "the bulk window of kappa = 0.4667 holds no gap "
+                       "of a spectrum of n = 9")
+
+
 def test_largest_trials_and_scale_inside_the_stream_blocks_validate():
     for cfg in ({"experiment": "spectrum", "ensemble": GOE, "trials": 2 ** 20},
                 {"experiment": "acceptance", "stats": {"scale": 25.7}}):
-        assert ExperimentConfig.from_dict(cfg).validation_errors() == []
+        ExperimentConfig.from_dict(cfg).validate()
     suite = acceptance.AcceptanceSuite(scale=25.7)
     assert 4 * sum(suite._flow_law_trials()) <= acceptance._BLOCK
 
@@ -381,14 +391,15 @@ NUMERIC_FIELDS = [
 @pytest.mark.parametrize("kind, section, key, parse", NUMERIC_FIELDS,
                          ids=[f"{k}-{s}.{f}" for k, s, f, _ in NUMERIC_FIELDS])
 def test_field_table_rejects_non_numbers(kind, section, key, parse):
-    assert ExperimentConfig.from_dict(valid_config(kind)).validation_errors() == []
+    ExperimentConfig.from_dict(valid_config(kind)).validate()
     bad_values = [NAN, "1", True, 10 ** 400] + ([2.5] if parse is _integer else [])
     for bad in bad_values:
         cfg = valid_config(kind)
         cfg[section] = {**cfg.get(section, {}), key: [bad] if parse is _reals else bad}
-        errs = ExperimentConfig.from_dict(cfg).validation_errors()
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict(cfg).validate()
         named = re.compile(rf"{section}: (.*; )?{key}(\[0\])? must")
-        assert any(named.search(e) for e in errs), (bad, errs)
+        assert named.search(str(info.value)), (bad, str(info.value))
 
 
 def test_free_conv_reads_an_ensemble_only_for_a_sample_base():
@@ -397,10 +408,9 @@ def test_free_conv_reads_an_ensemble_only_for_a_sample_base():
     ExperimentConfig.from_dict({
         "experiment": "free-conv", "ensemble": ER, "stats": stats,
     }).validate()
-    errs = ExperimentConfig.from_dict({
-        "experiment": "free-conv", "stats": stats,
-    }).validation_errors()
-    assert errs == ["experiment 'free-conv' needs an ensemble section"]
+    with pytest.raises(ValueError,
+                       match="^experiment 'free-conv' needs an ensemble section$"):
+        ExperimentConfig.from_dict({"experiment": "free-conv", "stats": stats}).validate()
 
 
 def test_flow_compare_honours_flow_mean(tmp_path):

@@ -23,7 +23,6 @@ from rmtlab.free_conv import (
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import (
     classical_location,
-    classical_locations,
     eigenvalues_of,
     m_sc,
 )
@@ -305,7 +304,7 @@ def test_deviation_report_classical_grid():
     # base = exact classical locations: the empirical transform is a
     # midpoint-quantile quadrature of the semicircle integral
     n = 2000
-    gamma = classical_locations(np.arange(n - 1), n)
+    gamma = classical_location(np.arange(n - 1), n)
     inp = FreeConvInput(theta_sq=0.0, eigenvalues=gamma)
     rep = deviation_report(inp, np.linspace(-1.5, 1.5, 31), eta=0.01)
     assert rep.dev_m.max() <= 0.01

@@ -1,11 +1,12 @@
-"""Every public function of rmtlab has a caller outside the tests.
+"""Every public name of rmtlab has a reader outside the tests.
 
-A function that only tests call is surface to maintain with nothing to show
-for it: either something in the package, a demo or the benchmark uses it, or
-it goes.
+A function, class, method, property or dataclass field that only tests read
+is surface to maintain with nothing to show for it: either something in the
+package, a demo or the benchmark uses it, or it goes.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -32,21 +33,49 @@ def names_read(path):
     }
 
 
-def public_functions():
-    """(module name, function name) for every function in a module's __all__."""
-    for info in pkgutil.iter_modules(rmtlab.__path__):
-        module = importlib.import_module(f"rmtlab.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            if inspect.isfunction(getattr(module, name)):
-                yield module.__name__, name
-
-
-def test_every_public_function_has_a_caller_outside_tests():
+def read_outside_tests():
     read = set()
     for directory in CALLER_DIRS:
         for path in directory.rglob("*.py"):
             read |= names_read(path)
-    functions = list(public_functions())
-    assert ("rmtlab.ensembles", "sample_matrix") in functions  # the walk found the package
-    unused = [f"{module}.{name}" for module, name in functions if name not in read]
+    return read
+
+
+def public_objects():
+    """(qualified name, object) for every name in a module's __all__."""
+    for info in pkgutil.iter_modules(rmtlab.__path__):
+        module = importlib.import_module(f"rmtlab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            yield f"{module.__name__}.{name}", getattr(module, name)
+
+
+def public_members(cls):
+    """Public methods, properties and dataclass fields that ``cls`` defines."""
+    members = {
+        name for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value)
+             or isinstance(value, (property, classmethod, staticmethod)))
+    }
+    if dataclasses.is_dataclass(cls):
+        members |= {f.name for f in dataclasses.fields(cls)}
+    return sorted(members)
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    read = read_outside_tests()
+    functions = [(qual, obj) for qual, obj in public_objects()
+                 if inspect.isfunction(obj)]
+    assert "rmtlab.ensembles.sample_matrix" in dict(functions)  # the walk found the package
+    unused = [qual for qual, obj in functions if obj.__name__ not in read]
     assert not unused, f"public functions with no caller outside tests: {unused}"
+
+
+def test_every_public_class_member_and_field_is_read_outside_tests():
+    read = read_outside_tests()
+    classes = [(qual, obj) for qual, obj in public_objects() if inspect.isclass(obj)]
+    assert "rmtlab.statistics.CorrelationEstimate" in dict(classes)
+    unused = [qual for qual, cls in classes if cls.__name__ not in read]
+    unused += [f"{qual}.{member}" for qual, cls in classes
+               for member in public_members(cls) if member not in read]
+    assert not unused, f"public names with no reader outside tests: {unused}"

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from rmtlab.ensembles import (
-    DeformationSelector,
     EnsembleSpec,
     sample_goe,
     sample_goe_tridiagonal,
@@ -12,9 +11,9 @@ from rmtlab.ensembles import (
 from rmtlab.errors import DegenerateSpectrumError
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import (
+    DeformationSelector,
     bulk_indices,
     classical_location,
-    classical_locations,
     eigenvalue_derivatives,
     eigenvalues_of,
     eigh,
@@ -154,14 +153,16 @@ def test_classical_location_quarter_quantile_oracle():
 
 
 def test_classical_location_strictly_monotone():
-    gamma = classical_locations(np.arange(0, 199), 200)
+    gamma = classical_location(np.arange(0, 199), 200)
     assert np.all(np.diff(gamma) > 0)
+    # an index array gives each index the bits it gets alone
+    assert gamma.tolist() == [classical_location(int(i), 200) for i in range(199)]
 
 
 def test_classical_location_cdf_duality():
     n = 500
     idx = np.arange(0, n - 1)
-    gamma = classical_locations(idx, n)
+    gamma = classical_location(idx, n)
     assert np.abs(semicircle_cdf(gamma) - (idx + 1) / n).max() <= 1e-9
 
 
@@ -169,6 +170,10 @@ def test_classical_location_flags_edge_index():
     with pytest.warns(UserWarning):
         edge = classical_location(499, 500)
     assert edge == pytest.approx(2.0, abs=1e-9)
+    with pytest.warns(UserWarning):
+        assert classical_location(np.array([0, 499]), 500)[1] == edge
+    with pytest.raises(ValueError):
+        classical_location(np.array([0, 500]), 500)
 
 
 def test_bulk_indices_window():

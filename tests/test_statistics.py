@@ -14,9 +14,8 @@ from rmtlab.ensembles import (
 )
 from rmtlab.flow import FlowParams
 from rmtlab.rng import derive_stream
-from rmtlab.spectral import classical_locations, eigenvalues_of, rho_sc
+from rmtlab.spectral import bulk_indices, classical_location, eigenvalues_of, rho_sc
 from rmtlab.statistics import (
-    CHI_DERIVATIVE_BOUNDS,
     CutoffSpec,
     ObservableSpec,
     bulk_gaps,
@@ -32,8 +31,19 @@ from rmtlab.statistics import (
     wilson_interval,
 )
 
-# quadrature oracle for the unit gaussian bump integral over its support
+# quadrature oracles for the integrals of the unit bump and of its square
+# over its support
 BUMP_INTEGRAL = 1.2069003224378743
+BUMP_SQUARE_INTEGRAL = 0.9833808129127263
+
+# Maxima of the first three derivatives of chi_M's unit-width quintic blend.
+CHI_DERIVATIVE_BOUNDS = (1.512, 3.941, 36.0)
+
+
+def classical_spectrum(n):
+    """Every classical location of n, the top one (at the edge 2) included."""
+    with pytest.warns(UserWarning, match="edge"):
+        return classical_location(np.arange(n), n)
 
 
 # -- empirical distributions and KS --------------------------------------
@@ -74,7 +84,6 @@ def test_chi_identity_region():
     assert chi_m(0.0, cut) == 0.0
     assert chi_m(5.0, cut) == 5.0
     assert chi_m(9.0, cut) == 9.0
-    assert chi_m(9.0, cut, order=1) == 1.0
 
 
 def test_chi_saturation():
@@ -82,15 +91,27 @@ def test_chi_saturation():
     assert chi_m(15.0, cut) == 10.0
     assert chi_m(10.0, cut) == 10.0
     assert chi_m(np.inf, cut) == 10.0
-    assert chi_m(np.inf, cut, order=1) == 0.0
+
+
+def chi_derivatives(x, cut, h):
+    """Central finite differences of orders 1, 2 and 3 of chi_m at x."""
+    f = {k: chi_m(x + k * h, cut) for k in (-2, -1, 0, 1, 2)}
+    return (
+        (f[1] - f[-1]) / (2 * h),
+        (f[1] - 2 * f[0] + f[-1]) / h ** 2,
+        (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h ** 3),
+    )
 
 
 def test_chi_blend_endpoint_conditions():
+    # the blend meets the identity at M-1 and the constant M at M with
+    # matching values, slopes and vanishing second derivatives
     cut = CutoffSpec(m=7.0)
     assert chi_m(6.0, cut) == pytest.approx(6.0)
-    assert chi_m(6.0, cut, order=1) == pytest.approx(1.0)
-    assert chi_m(7.0, cut, order=1) == pytest.approx(0.0)
-    assert chi_m(7.0 - 1e-12, cut, order=2) == pytest.approx(0.0, abs=1e-9)
+    assert chi_m(7.0, cut) == 7.0
+    d1, d2, _ = chi_derivatives(np.array([6.0, 7.0]), cut, 1e-4)
+    assert d1 == pytest.approx([1.0, 0.0], abs=1e-6)
+    assert d2 == pytest.approx([0.0, 0.0], abs=1e-3)
 
 
 def test_chi_stays_within_one_of_identity():
@@ -106,31 +127,36 @@ def test_chi_is_monotone():
 
 
 def test_chi_derivative_bounds_match_audited_constants():
-    cut = CutoffSpec(m=3.0)
-    x = np.linspace(0.0, 4.0, 200_001)
-    for order, bound in enumerate(CHI_DERIVATIVE_BOUNDS, start=1):
-        vals = np.abs(chi_m(x, cut, order=order))
-        assert vals.max() <= bound + 1e-9
+    # finite differences over the blend [M-1, M] at M = 3, the stencil kept
+    # inside it; outside it chi' is 1 or 0 and the others vanish.  The third
+    # derivative peaks at 36 as x tends to M, where the stencil cannot reach.
+    cut, h = CutoffSpec(m=3.0), 1e-4
+    x = np.linspace(2.0 + 2 * h, 3.0 - 2 * h, 20_001)
+    peaks = [float(np.abs(d).max()) for d in chi_derivatives(x, cut, h)]
+    assert all(p <= bound for p, bound in zip(peaks, CHI_DERIVATIVE_BOUNDS))
+    assert peaks[:2] == pytest.approx(CHI_DERIVATIVE_BOUNDS[:2], abs=1e-3)
+    assert peaks[2] >= 35.9
     # the first two derivatives meet the nominal bound of 10; the third
-    # peaks at 36 for this unit-width quintic blend (see decisions ledger)
-    assert np.abs(chi_m(x, cut, order=1)).max() <= 10.0
-    assert np.abs(chi_m(x, cut, order=2)).max() <= 10.0
+    # peaks at 36 for this unit-width quintic blend
+    assert max(peaks[:2]) <= 10.0
 
 
 def test_chi_derivatives_match_finite_differences():
+    # the closed-form derivatives of the blend M-1+s+s^3(4-7s+3s^2), s = x-(M-1)
     cut = CutoffSpec(m=5.0)
     xs = np.linspace(4.05, 4.95, 19)
-    h = 1e-6
-    d1 = (chi_m(xs + h, cut) - chi_m(xs - h, cut)) / (2 * h)
-    assert d1 == pytest.approx(chi_m(xs, cut, order=1), abs=1e-7)
-    h2 = 1e-4
-    d2 = (chi_m(xs + h2, cut) - 2 * chi_m(xs, cut) + chi_m(xs - h2, cut)) / h2 ** 2
-    assert d2 == pytest.approx(chi_m(xs, cut, order=2), abs=1e-5)
+    s = xs - 4.0
+    d1, d2, d3 = chi_derivatives(xs, cut, 1e-3)
+    assert d1 == pytest.approx(1.0 + s * s * (12.0 - 28.0 * s + 15.0 * s * s), abs=1e-5)
+    assert d2 == pytest.approx(s * (24.0 - 84.0 * s + 60.0 * s * s), abs=1e-4)
+    assert d3 == pytest.approx(24.0 - 168.0 * s + 180.0 * s * s, abs=1e-3)
 
 
 def test_chi_rejects_negative_and_bad_m():
-    with pytest.raises(ValueError):
-        chi_m(-0.5, CutoffSpec(m=3.0))
+    for bad in (-0.5, -np.inf, np.nan, np.array([1.0, np.nan]),
+                np.array([np.inf, -np.inf])):
+        with pytest.raises(ValueError, match="x >= 0"):
+            chi_m(bad, CutoffSpec(m=3.0))
     with pytest.raises(ValueError):
         CutoffSpec(m=1.0)
 
@@ -140,14 +166,19 @@ def test_chi_rejects_negative_and_bad_m():
 
 def test_bulk_gaps_at_classical_locations_are_near_one():
     n = 2000
-    gamma = classical_locations(np.arange(n), n)
-    gaps = bulk_gaps(gamma, kappa=0.25)
+    gaps = bulk_gaps(classical_spectrum(n), kappa=0.25)
     assert np.abs(gaps - 1.0).max() <= 0.05
 
 
 def test_bulk_gaps_nonnegative():
     lam = np.sort(derive_stream(2, 0).gaussian(0.0, 1.0, size=400))
     assert np.all(bulk_gaps(lam, 0.1) >= 0.0)
+
+
+def test_bulk_gaps_rejects_a_window_without_a_gap():
+    assert bulk_indices(9, 0.4667).size == 0
+    with pytest.raises(ValueError, match=r"kappa = 0\.4667 .* n = 9"):
+        bulk_gaps(np.linspace(-2.0, 2.0, 9), 0.4667)
 
 
 def test_bulk_gaps_goe_mean_is_one():
@@ -205,6 +236,13 @@ def test_wilson_interval_contains_point_estimate():
     assert wilson_interval(0, 50)[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_wilson_interval_rejects_successes_outside_the_trials():
+    for successes in (-1, 11):
+        with pytest.raises(ValueError, match=rf"successes={successes}, trials=10"):
+            wilson_interval(successes, 10)
+    assert wilson_interval(10, 10)[1] == pytest.approx(1.0)  # the bounds are valid
+
+
 def test_level_repulsion_threshold_extremes():
     # GOE gaps are almost surely positive and far below 10, so the two
     # thresholds bracket the whole gap law
@@ -227,14 +265,14 @@ def test_level_repulsion_envelope_sparse():
 def gap_observable_mean(spec, obs, i, trials, seed, threads=1):
     """Monte Carlo E[obs(N rho_sc(gamma_i) (lambda_i - lambda_{i+1}))] and
     its standard error."""
-    scale = spec.n * rho_sc(classical_locations(np.array([i]), spec.n))[0]
+    scale = spec.n * rho_sc(classical_location(i, spec.n))
     lam = sample_spectra(spec, trials, seed, threads=threads, select=(i, i + 1))
     vals = obs(scale * (lam[:, 0] - lam[:, 1]))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
 def test_observable_bump_support_and_smoothness():
-    obs = ObservableSpec(kind="gaussian_bump", center=0.0, width=2.0)
+    obs = ObservableSpec(center=0.0, width=2.0)
     assert obs(np.array([2.0]))[0] == 0.0
     assert obs(np.array([0.0]))[0] == pytest.approx(1.0)
     assert obs(np.array([1.999999]))[0] <= 1e-10  # flat at the boundary
@@ -242,7 +280,7 @@ def test_observable_bump_support_and_smoothness():
 
 def test_gap_observable_same_law_different_seeds():
     spec = EnsembleSpec(n=300, kind="goe")
-    obs = ObservableSpec(kind="gaussian_bump", center=-1.0, width=2.0)
+    obs = ObservableSpec(center=-1.0, width=2.0)
     a, a_se = gap_observable_mean(spec, obs, 149, 80, seed=7)
     b, b_se = gap_observable_mean(spec, obs, 149, 80, seed=8)
     assert abs(a - b) <= 3 * math.hypot(a_se, b_se)
@@ -252,7 +290,7 @@ def test_gap_observable_universality_sparse_vs_goe():
     # desk-scale single-gap universality: the expectations differ by at most
     # max(3 combined SE, 0.02)
     n, trials, threads = 1000, 300, 2
-    obs = ObservableSpec(kind="gaussian_bump", center=-1.0, width=2.0)
+    obs = ObservableSpec(center=-1.0, width=2.0)
     sparse, sparse_se = gap_observable_mean(
         EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4), obs, n // 2 - 1,
         trials, seed=101, threads=threads,
@@ -267,30 +305,38 @@ def test_gap_observable_universality_sparse_vs_goe():
 
 def test_correlation_average_unit_density_oracle():
     # spectra at the classical locations have unit local density in scaled
-    # coordinates, so the 1-point estimator equals integral O(a) da
+    # coordinates, so the sum over ordered distinct pairs,
+    # (sum_i O(x_i))^2 - sum_i O(x_i)^2, equals (integral O)^2 - integral O^2
     n = 2000
-    gamma = classical_locations(np.arange(n), n)
+    gamma = classical_spectrum(n)
     width = 3.0
-    obs = ObservableSpec(kind="gaussian_bump", arity=1, center=0.0, width=width)
+    obs = ObservableSpec(center=0.0, width=width)
     est = correlation_average([gamma], 0.0, b=0.002, obs=obs)
-    assert est.value == pytest.approx(width * BUMP_INTEGRAL, rel=0.02)
+    target = (width * BUMP_INTEGRAL) ** 2 - width * BUMP_SQUARE_INTEGRAL
+    assert target == pytest.approx(10.159, abs=1e-3)
+    assert est.value == pytest.approx(target, rel=0.02)
 
 
-def test_correlation_average_requires_data_and_small_arity():
-    obs = ObservableSpec(kind="gaussian_bump", arity=1)
-    with pytest.raises(ValueError):
+def test_correlation_average_rejects_bad_input():
+    obs = ObservableSpec()
+    with pytest.raises(ValueError, match="at least one spectrum"):
         correlation_average([], 0.0, 0.01, obs)
-    with pytest.raises(ValueError):
-        correlation_average([np.zeros(3)], 0.0, 0.01,
-                            ObservableSpec(kind="gaussian_bump", arity=3))
+    with pytest.raises(ValueError, match="b must be positive"):
+        correlation_average([np.zeros(3)], 0.0, 0.0, obs)
+    with pytest.raises(ValueError, match="equal length"):
+        correlation_average([np.zeros(3), np.zeros(4)], 0.0, 0.01, obs)
+    with pytest.raises(ValueError, match="inside the bulk"):
+        correlation_average([np.zeros(3)], 2.0, 0.01, obs)
+    with pytest.raises(ValueError, match="width must be positive"):
+        ObservableSpec(width=0.0)
 
 
 def test_correlation_average_pair_estimator_runs():
     lam = [eigenvalues_of(sample_goe(400, derive_stream(9, k))) for k in range(4)]
-    obs = ObservableSpec(kind="gaussian_bump", arity=2, center=0.0, width=4.0)
+    obs = ObservableSpec(center=0.0, width=4.0)
     est = correlation_average(lam, 0.0, b=400 ** -0.9, obs=obs)
-    assert est.n_spectra == 4
     assert est.value > 0.0
+    assert 0.0 < est.se < math.inf
 
 
 # -- coupled comparisons --------------------------------------------------------
