@@ -21,6 +21,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,13 @@ def _real(name, value):
     return float(value)
 
 
-def _integer(name, value):
+def _integer(name, value, lo=-math.inf, hi=math.inf):
+    """A JSON integer (not bool) in [lo, hi] as an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     _real(name, value)  # the same finiteness rule
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
     return int(value)
 
 
@@ -121,7 +125,9 @@ STATS_FIELDS = {
     "flow-compare": {"tau": (_real, 0.2), "index": (_integer, None)},
     "free-conv": {"theta_sq": (_real, ...), "eta": (_real, 1e-4),
                   "base": (_choice("semicircle", "atom", "sample"), "semicircle"),
-                  "grid_points": (_integer, 201), "dev_points": (_integer, 81),
+                  # a density needs two grid points to have mass, a deviation one
+                  "grid_points": (partial(_integer, lo=2), 201),
+                  "dev_points": (partial(_integer, lo=1), 81),
                   "dev_eta": (_real, 0.01)},
     "green-compare": {"e_list": (_reals, (0.0,)), "eta": (_real, None),
                       "f_kind": (_choice("im", "re"), "im"), "kappa": (_real, 0.1),
@@ -207,11 +213,8 @@ class ExperimentConfig:
         # trials: at most the stream block the acceptance suite gives a purpose
         bounds = {"trials": (1, 2 ** 20), "seed": (0, 2 ** 64 - 1),
                   "threads": (1, math.inf)}
-        ints = {}
-        for key, (lo, hi) in bounds.items():
-            ints[key] = value = attempt("", lambda: _integer(key, getattr(self, key)))
-            if value is not None and not lo <= value <= hi:
-                errs.append(f"{key} must lie in [{lo}, {hi}], got {value}")
+        ints = {key: attempt("", lambda: _integer(key, getattr(self, key), lo, hi))
+                for key, (lo, hi) in bounds.items()}
         if not isinstance(self.stats, dict):
             return None, errs + [f"stats must be an object, got {self.stats!r}"]
         table = STATS_FIELDS.get(self.experiment, {})

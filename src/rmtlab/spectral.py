@@ -10,14 +10,25 @@ eigenvalue perturbation derivatives along the entry direction a
 Conventions: eigenvalues ascend; eigenvector ``i`` is column ``i``; all indices
 are 0-based, so the classical location of eigenvalue index ``i`` is the
 ``(i+1)/n`` quantile of the semicircle density.
+
+Importing this module sets numpy's and scipy's OpenBLAS to one thread for the
+whole process.  OpenBLAS's eigensolvers give different low bits at different
+thread counts, so this makes every spectrum a function of (config, seed)
+alone, and it leaves ``rng.trial_map``'s worker threads (``--threads``) as the
+only parallelism, with no BLAS threads competing with them for cores.  Where a
+library exports no thread setter, a ``RuntimeWarning`` says that its bytes may
+depend on the BLAS thread count.
 """
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
 
 from .ensembles import SymmetricTridiagonal
 from .errors import DegenerateSpectrumError, NumericalError
@@ -41,6 +52,38 @@ __all__ = [
 ORTHONORMALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 LOCAL_LAW_PREFACTOR = 5.0
+
+
+def _pin_blas_to_one_thread():
+    """Set numpy's and scipy's OpenBLAS to one thread; warn once if one cannot be.
+
+    dlsym on an extension module's handle also searches the libraries it links
+    against, so the already loaded LAPACK modules find their OpenBLAS without a
+    path.  The wheels export the setter under a scipy-openblas name (numpy's
+    with the 64-bit-integer suffix); other OpenBLAS builds under the plain one.
+    """
+    unpinned = []
+    for module, names in (
+        (_umath_linalg, ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")),
+        (_flapack, ("scipy_openblas_set_num_threads", "openblas_set_num_threads")),
+    ):
+        lib = ctypes.CDLL(module.__file__)
+        setter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if setter is None:
+            unpinned.append(module.__name__)
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+    if unpinned:
+        warnings.warn(
+            f"could not set the BLAS behind {', '.join(unpinned)} to one thread: "
+            "eigenvalue bytes may then depend on the BLAS thread count",
+            RuntimeWarning,
+        )
+
+
+_pin_blas_to_one_thread()
 
 
 @dataclass(frozen=True, eq=False)

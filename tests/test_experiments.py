@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmtlab
 import rmtlab.acceptance as acceptance
 import rmtlab.cli as cli
 import rmtlab.experiments as experiments
@@ -318,10 +322,18 @@ def explicit(value):
      "kappa must be finite"),
     ({"experiment": "spectrum", "ensemble": {**ER, "n": 10 ** 400}},
      "ensemble: n must be finite"),
+    # a one-point density has no mass, and a deviation report needs a point
+    ({"experiment": "free-conv", "stats": {"theta_sq": 0.25, "grid_points": 1}},
+     "stats: grid_points must lie in [2, inf], got 1"),
+    ({"experiment": "free-conv", "stats": {"theta_sq": 0.25, "grid_points": 0}},
+     "stats: grid_points must lie in [2, inf], got 0"),
+    ({"experiment": "free-conv", "stats": {"theta_sq": 0.25, "dev_points": 0}},
+     "stats: dev_points must lie in [1, inf], got 0"),
 ], ids=["bins-float", "index-float", "dev-points-float", "flow-t-string", "flow-t-bool",
         "q-exponent-string", "kappa-string", "profile-lo-string", "bins-bool",
         "prefactor-nan", "e-list-nan", "free-conv-eta-nan", "dev-eta-nan",
-        "flow-profile-infinity", "flow-profile-tiny", "kappa-huge-int", "n-huge-int"])
+        "flow-profile-infinity", "flow-profile-tiny", "kappa-huge-int", "n-huge-int",
+        "grid-points-one", "grid-points-zero", "dev-points-zero"])
 def test_cli_rejects_malformed_numbers_before_writing(tmp_path, capsys, config,
                                                       message):
     assert_cli_exits_2(tmp_path, capsys, config, message)
@@ -384,7 +396,7 @@ NUMERIC_FIELDS = [
                            ("stats", STATS_FIELDS[kind]))
     if section == "stats" or section in valid_config(kind)
     for key, (parse, _) in table.items()
-    if parse in (_real, _integer, _reals, _scale)
+    if getattr(parse, "func", parse) in (_real, _integer, _reals, _scale)  # unwrap a partial
 ]
 
 
@@ -392,7 +404,8 @@ NUMERIC_FIELDS = [
                          ids=[f"{k}-{s}.{f}" for k, s, f, _ in NUMERIC_FIELDS])
 def test_field_table_rejects_non_numbers(kind, section, key, parse):
     ExperimentConfig.from_dict(valid_config(kind)).validate()
-    bad_values = [NAN, "1", True, 10 ** 400] + ([2.5] if parse is _integer else [])
+    integer = getattr(parse, "func", parse) is _integer
+    bad_values = [NAN, "1", True, 10 ** 400] + ([2.5] if integer else [])
     for bad in bad_values:
         cfg = valid_config(kind)
         cfg[section] = {**cfg.get(section, {}), key: [bad] if parse is _reals else bad}
@@ -511,6 +524,30 @@ def test_run_writes_exactly_the_reported_artifacts(tmp_path, name, config):
     names = [p.name for p in paths]
     assert sorted(names) == sorted(p.name for p in out.iterdir())
     assert names[-1] == "report.json"  # after the files the runner returned
+
+
+def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # From n = 300 up, OpenBLAS's eigensolvers round differently at another
+    # thread count unless rmtlab.spectral pins them to one.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "spectrum",
+                                  "ensemble": {"n": 400, "kind": "goe"}, "trials": 2}))
+    path = [str(Path(rmtlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    artifacts = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas-{blas_threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-m", "rmtlab.cli", "spectrum", "--config", str(config),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(artifacts[0]) == ["report.json", "spectrum_0000.csv",
+                                    "spectrum_0001.csv"]
+    assert artifacts[0] == artifacts[1]
 
 
 def test_cli_acceptance_prints_every_criterion_and_writes_only_its_report(tmp_path,

@@ -1,7 +1,12 @@
+import ctypes
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from scipy.integrate import quad
+from scipy.linalg import _flapack
 
+import rmtlab.spectral as spectral
 from rmtlab.ensembles import (
     EnsembleSpec,
     sample_goe,
@@ -305,3 +310,22 @@ def test_eigenvalue_derivatives_degenerate_error_names_indices():
     with pytest.raises(DegenerateSpectrumError) as err:
         eigenvalue_derivatives(dec, 0, DeformationSelector(0, 2), 1)
     assert 0 in err.value.indices and 1 in err.value.indices
+
+
+def test_import_sets_both_openblas_libraries_to_one_thread():
+    for module, getter in ((_umath_linalg, "scipy_openblas_get_num_threads64_"),
+                           (_flapack, "scipy_openblas_get_num_threads")):
+        get_num_threads = getattr(ctypes.CDLL(module.__file__), getter)
+        get_num_threads.argtypes = []
+        get_num_threads.restype = ctypes.c_int
+        assert get_num_threads() == 1, getter
+
+
+def test_blas_pin_warns_once_when_no_thread_setter_resolves(monkeypatch):
+    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: object())
+    with pytest.warns(RuntimeWarning,
+                      match="may then depend on the BLAS thread count") as record:
+        spectral._pin_blas_to_one_thread()
+    assert len(record) == 1
+    assert "_umath_linalg" in str(record[0].message)
+    assert "_flapack" in str(record[0].message)
