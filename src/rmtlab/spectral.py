@@ -17,10 +17,13 @@ thread counts, so this makes every spectrum a function of (config, seed)
 alone, and it leaves ``rng.trial_map``'s worker threads (``--threads``) as the
 only parallelism, with no BLAS threads competing with them for cores.  Where a
 library exports no thread setter, a ``RuntimeWarning`` says that its bytes may
-depend on the BLAS thread count.
+depend on the BLAS thread count.  Windowed dense solves call LAPACK's dsyevr
+directly and release the GIL for the whole solve, so ``--threads`` scales them
+too.
 """
 
 import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,21 +57,29 @@ DEGENERACY_GAP = 1e-8
 LOCAL_LAW_PREFACTOR = 5.0
 
 
-def _pin_blas_to_one_thread():
-    """Set numpy's and scipy's OpenBLAS to one thread; warn once if one cannot be.
+def _library_symbol(module, names):
+    """The first of ``names`` that the library behind ``module`` exports, or None.
 
     dlsym on an extension module's handle also searches the libraries it links
     against, so the already loaded LAPACK modules find their OpenBLAS without a
-    path.  The wheels export the setter under a scipy-openblas name (numpy's
-    with the 64-bit-integer suffix); other OpenBLAS builds under the plain one.
+    path.
+    """
+    lib = ctypes.CDLL(module.__file__)
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+
+
+def _pin_blas_to_one_thread():
+    """Set numpy's and scipy's OpenBLAS to one thread; warn once if one cannot be.
+
+    The wheels export the setter under a scipy-openblas name (numpy's with the
+    64-bit-integer suffix); other OpenBLAS builds under the plain one.
     """
     unpinned = []
     for module, names in (
         (_umath_linalg, ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")),
         (_flapack, ("scipy_openblas_set_num_threads", "openblas_set_num_threads")),
     ):
-        lib = ctypes.CDLL(module.__file__)
-        setter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        setter = _library_symbol(module, names)
         if setter is None:
             unpinned.append(module.__name__)
             continue
@@ -84,6 +95,92 @@ def _pin_blas_to_one_thread():
 
 
 _pin_blas_to_one_thread()
+
+
+def _resolve_dsyevr():
+    """scipy's own LAPACK dsyevr (LP64, gfortran calling convention), or None.
+
+    Arguments: jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
+    ldz, isuppz, work, lwork, iwork, liwork, info, then the hidden lengths of
+    the three character arguments.
+    """
+    routine = _library_symbol(_flapack, ("scipy_dsyevr_", "dsyevr_"))
+    if routine is not None:
+        char, array = ctypes.c_char_p, ctypes.c_void_p
+        int_, double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+        routine.argtypes = [
+            char, char, char, int_, array, int_, double, double, int_, int_,
+            double, int_, array, array, int_, array, array, int_, array, int_,
+            int_, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t,
+        ]
+        routine.restype = None
+    return routine
+
+
+_dsyevr = _resolve_dsyevr()
+
+
+def _call_dsyevr(a, il, iu, w, work, lwork, iwork, liwork):
+    """Eigenvalues il..iu (1-based) of the lower triangle of the Fortran-order
+    matrix ``a`` into ``w``, without eigenvectors; returns (count, info).
+
+    ``a`` is overwritten.  With ``lwork = liwork = -1`` this is the workspace
+    query, which writes the sizes into ``work[0]`` and ``iwork[0]``.
+    """
+    n = a.shape[0]
+    m, info = ctypes.c_int(), ctypes.c_int()
+    zero = ctypes.byref(ctypes.c_double(0.0))
+
+    def int_(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    # jobz 'N' reads neither z nor isuppz; they get the sizes LAPACK documents
+    z, isuppz = np.empty(1), np.empty(2 * n, dtype=np.int32)
+    _dsyevr(
+        b"N", b"I", b"L", int_(n), a.ctypes.data, int_(n), zero, zero,
+        int_(il), int_(iu), zero, ctypes.byref(m), w.ctypes.data,
+        z.ctypes.data, int_(1), isuppz.ctypes.data, work.ctypes.data,
+        int_(lwork), iwork.ctypes.data, int_(liwork), ctypes.byref(info), 1, 1, 1,
+    )
+    return m.value, info.value
+
+
+@functools.cache
+def _dsyevr_workspace(n):
+    """(lwork, liwork) from dsyevr's workspace query at size n.
+
+    These are the sizes scipy's wrapper passes, and they matter to the bits:
+    dsytrd, inside dsyevr, picks its block size from lwork.
+    """
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int32)
+    _, info = _call_dsyevr(np.empty((n, n), order="F"), 1, n, np.empty(n),
+                           work, -1, iwork, -1)
+    if info != 0:
+        raise NumericalError(f"dsyevr workspace query failed with info {info}")
+    return int(work[0]), int(iwork[0])
+
+
+def _dsyevr_window(a, lo, hi):
+    """Eigenvalues lo..hi of a dense symmetric matrix from one dsyevr call.
+
+    The routine, its library, its arguments and its workspace are those of
+    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``, and so are the
+    bits; but a ctypes call releases the GIL for the whole solve, so the
+    solves of ``rng.trial_map``'s worker threads run at the same time.
+    """
+    a = np.array(a, dtype=np.float64, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    n = a.shape[0]
+    lwork, liwork = _dsyevr_workspace(n)
+    w = np.empty(n)
+    m, info = _call_dsyevr(a, lo + 1, hi + 1, w, np.empty(lwork), lwork,
+                           np.empty(liwork, dtype=np.int32), liwork)
+    if info != 0:
+        raise NumericalError(f"LAPACK dsyevr failed with info {info}")
+    return w[:m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +234,12 @@ def eigenvalues_of(a, select=None):
 
     ``a`` is a dense symmetric array or a ``SymmetricTridiagonal``.  With
     ``select=(lo, hi)`` only eigenvalues lo..hi (0-based, inclusive) are
-    computed and returned, as an array of length hi - lo + 1.
+    computed and returned, as an array of length hi - lo + 1.  A dense window
+    calls LAPACK's dsyevr directly, with the bits of
+    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``, and releases the
+    GIL for the whole solve, so ``--threads`` scales these solves; a
+    non-finite entry or a non-square ``a`` raises ValueError before LAPACK
+    runs, and a nonzero LAPACK ``info`` raises NumericalError.
     """
     tridiagonal = isinstance(a, SymmetricTridiagonal)
     if select is None:
@@ -151,7 +253,9 @@ def eigenvalues_of(a, select=None):
         return scipy.linalg.eigvalsh_tridiagonal(
             a.diag, a.offdiag, select="i", select_range=(lo, hi)
         )
-    return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
+    if _dsyevr is None:
+        return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
+    return _dsyevr_window(a, lo, hi)
 
 
 def stieltjes_empirical(spectrum, z):

@@ -3,10 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmtlab
 import rmtlab.acceptance as acceptance
@@ -28,6 +31,7 @@ from rmtlab.experiments import (
     emit_histogram,
     run,
 )
+from rmtlab.ensembles import EnsembleSpec
 from rmtlab.errors import NumericalError
 from rmtlab.rng import trial_map
 
@@ -88,6 +92,35 @@ def test_thread_count_does_not_change_artifacts(tmp_path):
         run(cfg)
         outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outs[1] == outs[4]
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(3, 60), kind=st.sampled_from(("erdos_renyi", "sparse_generic")),
+       trials=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_windowed_solves_give_the_same_bytes_at_any_thread_count(n, kind, trials,
+                                                                 seed, data):
+    # the dense window solves of the worker threads run at the same time
+    outs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in (1, 3):
+            out = Path(tmp) / f"t{threads}"
+            run(ExperimentConfig.from_dict({
+                "experiment": "repulsion",
+                "ensemble": {"n": n, "kind": kind},
+                "trials": trials,
+                "seed": seed,
+                "threads": threads,
+                "stats": {"tau": 0.2},
+                "out_dir": str(out),
+            }))
+            outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outs[1] == outs[3]
+    lo = data.draw(st.integers(0, n - 1))
+    select = (lo, data.draw(st.integers(lo, n - 1)))
+    rows = [statistics.sample_spectra(EnsembleSpec(n=n, kind=kind), trials, seed,
+                                      threads=threads, select=select)
+            for threads in (1, 3)]
+    assert rows[0].tobytes() == rows[1].tobytes()
 
 
 def test_flow_compare_report_keys(tmp_path):

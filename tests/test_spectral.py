@@ -1,7 +1,11 @@
 import ctypes
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 from scipy.integrate import quad
 from scipy.linalg import _flapack
@@ -13,7 +17,8 @@ from rmtlab.ensembles import (
     sample_goe_tridiagonal,
     sample_matrix,
 )
-from rmtlab.errors import DegenerateSpectrumError
+from rmtlab.cli import main as cli_main
+from rmtlab.errors import DegenerateSpectrumError, NumericalError
 from rmtlab.rng import derive_stream
 from rmtlab.spectral import (
     DeformationSelector,
@@ -89,6 +94,81 @@ def test_windowed_eigenvalues_reject_bad_windows(window):
     for m in (a, sample_goe_tridiagonal(60, derive_stream(12, 1))):
         with pytest.raises(ValueError, match="select"):
             eigenvalues_of(m, select=window)
+
+
+@st.composite
+def dense_windows(draw):
+    n = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(("erdos_renyi", "sparse_generic", "goe")))
+    h = sample_matrix(EnsembleSpec(n=n, kind=kind),
+                      derive_stream(draw(st.integers(0, 2 ** 64 - 1)), 0))
+    lo = draw(st.integers(0, n - 1))
+    return h, (lo, draw(st.integers(lo, n - 1)))
+
+
+def _scipy_window(h, window):
+    return scipy.linalg.eigvalsh(h, subset_by_index=window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_windows())
+def test_dense_windows_have_the_bytes_of_scipys_eigvalsh(case):
+    h, window = case
+    assert eigenvalues_of(h, select=window).tobytes() == _scipy_window(h, window).tobytes()
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_central_dense_windows_have_the_bytes_of_scipys_eigvalsh(n):
+    window = (n // 2 - 1, n // 2)
+    h = sample_matrix(EnsembleSpec(n=n, kind="erdos_renyi"), derive_stream(1729, n))
+    assert eigenvalues_of(h, select=window).tobytes() == _scipy_window(h, window).tobytes()
+
+
+def test_dense_windows_call_lapack_directly_on_the_wheels():
+    # scipy's PyPI wheels export their OpenBLAS's dsyevr as scipy_dsyevr_
+    assert spectral._dsyevr is not None
+
+
+def test_dense_windows_fall_back_to_scipy_with_the_same_bytes(monkeypatch):
+    h = sample_matrix(EnsembleSpec(n=80, kind="erdos_renyi"), derive_stream(5, 0))
+    direct = eigenvalues_of(h, select=(39, 40))
+    monkeypatch.setattr(spectral, "_dsyevr", None)
+    assert eigenvalues_of(h, select=(39, 40)).tobytes() == direct.tobytes()
+
+
+def _lapack_must_not_run(*args):
+    raise AssertionError("LAPACK was reached")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_window_rejects_non_finite_entries_before_lapack(monkeypatch, bad):
+    monkeypatch.setattr(spectral, "_call_dsyevr", _lapack_must_not_run)
+    h = sample_goe(10, derive_stream(6, 0))
+    h[3, 7] = h[7, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues_of(h, select=(4, 5))
+
+
+def test_dense_window_rejects_a_non_square_matrix_before_lapack(monkeypatch):
+    monkeypatch.setattr(spectral, "_call_dsyevr", _lapack_must_not_run)
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_of(np.zeros((6, 5)), select=(0, 1))
+
+
+def test_dense_window_lapack_failure_names_info_and_exits_3(monkeypatch, tmp_path, capsys):
+    # a one-entry workspace is illegal argument 18 (lwork), so dsyevr sets info -18
+    monkeypatch.setattr(spectral, "_dsyevr_workspace", lambda n: (1, 1))
+    h = sample_goe(10, derive_stream(6, 0))
+    with pytest.raises(NumericalError, match="info -18"):
+        eigenvalues_of(h, select=(4, 5))
+    config = tmp_path / "repulsion.json"
+    config.write_text(json.dumps({"experiment": "repulsion", "trials": 2,
+                                  "ensemble": {"n": 20, "kind": "erdos_renyi"},
+                                  "stats": {"tau": 0.2}}))
+    assert cli_main(["repulsion", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "info -18" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stieltjes_two_point():
