@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments
 from . import statistics as stats
-from .ensembles import EnsembleSpec, sample_matrix, upper_triangle
+from .ensembles import EnsembleSpec, _upper_mask, sample_matrix
 from .experiments import DEFAULT_SEED
 from .flow import FlowParams, decompose_sample, evolve
 from .free_conv import FreeConvInput, density_from_stieltjes, solve_m_t
@@ -266,28 +266,22 @@ class AcceptanceSuite:
         spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
         params = FlowParams(n=n, t=t, mean=spec.entry_mean)
         trials, ks_trials = self._flow_law_trials()
-        iu = upper_triangle(n)
+        mask = _upper_mask(n)
         f = spec.entry_mean
 
         def one(k):
             out = []
             for h in self._flow_pair(spec, params, _BASE_FLOW_LAW + 4 * k):
-                x = h[iu]
-                c = x - f
-                c2 = c * c
+                x = h[mask]
+                c2 = x - f
+                c2 *= c2
                 out.extend((x.sum(), c2.sum(), (c2 * c2).sum()))
             return out
 
         acc = np.sum(np.array(trial_map(one, trials, self.threads)), axis=0)
-        m_entries = trials * iu[0].size
-        mom = {}
-        for name, off in (("evolve", 0), ("decompose", 3)):
-            s1, s2, s4 = acc[off:off + 3]
-            mom[name] = {
-                "mean": s1 / m_entries,
-                "var": s2 / m_entries,
-                "m4": s4 / m_entries,
-            }
+        m_entries = trials * (n * (n + 1) // 2)
+        mom = {name: dict(zip(("mean", "var", "m4"), acc[off:off + 3] / m_entries))
+               for name, off in (("evolve", 0), ("decompose", 3))}
         se_mean = math.hypot(
             *(math.sqrt(mom[p]["var"] / m_entries) for p in ("evolve", "decompose"))
         )

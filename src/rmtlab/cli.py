@@ -39,7 +39,8 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file; optional for kinds "
                                          "whose defaults suffice (e.g. acceptance)")
     parser.add_argument("--seed", type=int, help="master seed (decimal u64)")
-    parser.add_argument("--threads", type=int, help="worker threads for trials")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for trials (default: every usable CPU)")
     parser.add_argument("--out", help="output directory for artifacts")
     return parser
 

@@ -1,8 +1,9 @@
 """Samplers for the random matrix ensembles under study.
 
 ``sample_matrix`` is the one dense sampler: it draws the upper triangle
-(diagonal included) in the packed order of ``upper_triangle(n)``, which the
-flow's entry noise follows too, and mirrors it into a fresh (n, n) array.
+(diagonal included) in packed order and mirrors it into a fresh (n, n) array.
+A cached boolean mask owns that order as its C order: ``h[mask]`` gathers in
+it, the flow's entry noise follows it, and ``upper_triangle(n)`` lists it.
 ``sample_goe_tridiagonal`` instead returns a ``SymmetricTridiagonal`` whose
 eigenvalues have the GOE law, for runs that need only the spectrum.
 
@@ -142,10 +143,17 @@ def alternating_profile(n, lo, hi):
 
 
 @functools.cache
+def _upper_mask(n):
+    """Read-only (n, n) mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.cache
 def upper_triangle(n):
-    """Row and column indices of the upper triangle, diagonal included, in the
-    packed order every entrywise draw uses; cached per n and read-only."""
-    rows, cols = np.triu_indices(n)
+    """(rows, cols) of ``_upper_mask(n)`` in packed order; cached, read-only."""
+    rows, cols = np.nonzero(_upper_mask(n))
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
@@ -161,15 +169,15 @@ def _goe_weight(n):
 
 def _upper_profile(profile, n):
     """s_ij in packed order; the uniform profile (None) is the scalar 1/n."""
-    return 1.0 / n if profile is None else profile[upper_triangle(n)]
+    return 1.0 / n if profile is None else profile[_upper_mask(n)]
 
 
 def _symmetric_from_upper(n, values):
-    """(n, n) matrix with ``values`` at ``upper_triangle(n)``, mirrored below."""
-    rows, cols = upper_triangle(n)
+    """(n, n) matrix with packed ``values`` on the upper triangle, mirrored below."""
+    mask = _upper_mask(n)
     out = np.empty((n, n))
-    out[rows, cols] = values
-    out[cols, rows] = values
+    out[mask] = values
+    out.T[mask] = values
     return out
 
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -167,6 +168,12 @@ class Resolved:
     stats: dict
 
 
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 @dataclass
 class ExperimentConfig:
     """Experiment description, kept as given; ``validate`` resolves it.
@@ -183,7 +190,7 @@ class ExperimentConfig:
     stats: dict = field(default_factory=dict)
     trials: int = 1
     seed: int = DEFAULT_SEED
-    threads: int = 1
+    threads: int = field(default_factory=_available_cpus)
     out_dir: str = "out"
 
     @classmethod

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (_goe_weight, _profile_errors, _symmetric_from_upper,
-                        _upper_profile, sample_goe, upper_triangle)
+                        _upper_mask, _upper_profile, sample_goe)
 from .errors import InfeasibleDecompositionError
 from .rng import RngStream
 
@@ -91,12 +91,12 @@ class FlowSample:
 def _flow_kernel(h0, params: FlowParams, s, variance, rng: RngStream):
     """f + exp(-t/(2 n s_ij)) (h0_ij - f) + Normal(0, variance) on the upper
     triangle (with packed profile values ``s``), filled symmetric."""
-    n = params.n
-    rows, cols = upper_triangle(n)
-    decay = np.exp(-params.t / (2.0 * n * s))
-    vals = params.mean + decay * (h0[rows, cols] - params.mean)
-    vals = vals + rng.gaussian(0.0, variance, size=rows.size)
-    return _symmetric_from_upper(n, vals)
+    vals = h0[_upper_mask(params.n)]
+    vals -= params.mean
+    vals *= np.exp(-params.t / (2.0 * params.n * s))
+    vals += params.mean
+    vals += rng.gaussian(0.0, variance, size=vals.size)
+    return _symmetric_from_upper(params.n, vals)
 
 
 def evolve(h0, params: FlowParams, rng: RngStream):
@@ -142,4 +142,6 @@ def decompose_sample(h0, params: FlowParams, rng: RngStream):
 
     theta = theta_t(params.t, r)
     goe = sample_goe(n, rng)
-    return FlowSample(h1 + theta * goe, h1, goe, theta)
+    h_t = theta * goe
+    h_t += h1
+    return FlowSample(h_t, h1, goe, theta)

@@ -51,8 +51,9 @@ class RngStream:
 
     def uniform(self, size=None):
         """Uniforms strictly inside (0, 1), one 64-bit word per value."""
-        k = self._gen.integers(0, 1 << _UNIFORM_BITS, size=size, dtype=np.int64)
-        return (k + 0.5) * _UNIFORM_SCALE
+        u = self._gen.integers(0, 1 << _UNIFORM_BITS, size=size, dtype=np.int64) + 0.5
+        u *= _UNIFORM_SCALE
+        return u
 
     def gaussian(self, mean, variance, size=None):
         """Normal(mean, variance) draws; variance 0 returns the mean exactly.
@@ -63,8 +64,10 @@ class RngStream:
         variance = np.asarray(variance, dtype=float)
         if np.any(variance < 0.0):
             raise ValueError("variance must be nonnegative")
-        u = self.uniform(size)
-        return mean + np.sqrt(variance) * ndtri(u)
+        x = ndtri(self.uniform(size))
+        x *= np.sqrt(variance)
+        x += mean
+        return x
 
     def bernoulli(self, prob, size=None):
         """0/1 draws with P(1) = prob; prob 0 and 1 are exact."""

@@ -628,6 +628,26 @@ def test_profile_round_trip(tmp_path):
     run(cfg)
 
 
+def test_default_threads_use_every_usable_cpu_and_write_the_bytes_of_one(tmp_path):
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert ExperimentConfig(experiment="repulsion").threads == usable
+    config = tmp_path / "rep.json"
+    config.write_text(json.dumps({
+        "experiment": "repulsion",
+        "ensemble": {"n": 120, "kind": "erdos_renyi"},
+        "stats": {"tau": 0.2},
+        "trials": 8,
+    }))
+    outs = {}
+    for tag, extra in (("default", []), ("one", ["--threads", "1"])):
+        out = tmp_path / tag
+        assert cli.main(["repulsion", "--config", str(config), "--out", str(out),
+                         *extra]) == 0
+        outs[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outs["default"] == outs["one"]
+
+
 def test_hash_excludes_scheduling_knobs():
     base = {
         "experiment": "spectrum",

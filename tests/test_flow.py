@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rmtlab.ensembles import EnsembleSpec, alternating_profile, sample_matrix, upper_triangle
 from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
@@ -199,3 +200,60 @@ def test_list_profile_samples_and_flows_like_the_array():
                         decompose_sample(h0, params, derive_stream(5, 2)).h_t))
     for from_array, from_list in zip(*outputs):
         assert np.array_equal(from_array, from_list)
+
+
+def _scatter_fill(n, vals):
+    rows, cols = np.triu_indices(n)
+    out = np.empty((n, n))
+    out[rows, cols] = vals
+    out[cols, rows] = vals
+    return out
+
+
+def _fancy_index_kernel(h0, params, s, variance, rng):
+    """The flow kernel as fancy-index gathers and scatters with a temporary
+    per step, the formula the in-place kernel must reproduce bit for bit."""
+    n = params.n
+    rows, cols = np.triu_indices(n)
+    decay = np.exp(-params.t / (2.0 * n * s))
+    vals = params.mean + decay * (h0[rows, cols] - params.mean)
+    vals = vals + (0.0 + np.sqrt(variance) * ndtri(rng.uniform(rows.size)))
+    return _scatter_fill(n, vals)
+
+
+def _fancy_index_flow(h0, params, streams):
+    """(evolve, decompose_sample) outputs of the fancy-index formula; each
+    path reads its own stream of ``streams``."""
+    n, t = params.n, params.t
+    rows, cols = np.triu_indices(n)
+    s = 1.0 / n if params.profile is None else params.profile[rows, cols]
+    evolved = (h0.copy() if t == 0 else
+               _fancy_index_kernel(h0, params, s, s * -np.expm1(-t / (n * s)), streams[0]))
+    r = float(n * np.min(s))
+    w = np.where(rows == cols, 1.0, 0.5)
+    resid = np.clip(s * -np.expm1(-t / (n * s)) - w * (r / n) * -np.expm1(-t / r), 0.0, None)
+    h1 = _fancy_index_kernel(h0, params, s, resid, streams[1])
+    if t == 0:
+        h1 = h0.copy()
+    theta = theta_t(t, r)
+    goe = _scatter_fill(n, 0.0 + np.sqrt((2.0 / n) * w) * ndtri(streams[1].uniform(rows.size)))
+    return evolved, (h1 + theta * goe, h1, goe, theta)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec(n=37, kind="erdos_renyi", q_exponent=0.4),
+    EnsembleSpec(n=37, kind="sparse_generic", profile=alternating_profile(37, 0.8, 1.2),
+                 mean_f=0.5),
+], ids=["erdos_renyi", "sparse_generic-alternating"])
+def test_in_place_flow_gives_the_bytes_of_the_fancy_index_formula(spec, t):
+    params = FlowParams(n=spec.n, t=t, profile=spec.profile, mean=spec.entry_mean)
+    h0 = sample_matrix(spec, derive_stream(6, 0))
+    evolved, (h_t, h1, goe, theta) = _fancy_index_flow(
+        h0, params, (derive_stream(6, 1), derive_stream(6, 2)))
+    assert evolve(h0, params, derive_stream(6, 1)).tobytes() == evolved.tobytes()
+    fs = decompose_sample(h0, params, derive_stream(6, 2))
+    assert fs.theta == theta
+    for got, want in ((fs.h_t, h_t), (fs.h_t1, h1), (fs.goe_part, goe)):
+        assert got.tobytes() == want.tobytes()
+    assert fs.h_t.tobytes() == (fs.h_t1 + fs.theta * fs.goe_part).tobytes()

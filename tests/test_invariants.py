@@ -4,7 +4,8 @@ Exact symmetry, the t = 0 identity of the flow, and a fixed count of uniforms
 per call: the count is what keeps stream addressing, and so every artifact,
 independent of the values drawn.  The uniform profile, held as the scalar 1/n,
 gives the bytes of the explicit 1/n matrix, and the cached packed layout is
-never shared with a caller.
+never shared with a caller.  The cached upper-triangle mask fills, gathers
+and lists the packed order exactly as ``triu_indices`` does.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from rmtlab.ensembles import (
     KINDS,
     EnsembleSpec,
+    _symmetric_from_upper,
+    _upper_mask,
     alternating_profile,
     sample_matrix,
     upper_triangle,
@@ -125,3 +128,24 @@ def test_packed_layout_is_read_only_and_never_shared_with_a_draw(spec, seed):
     first = h.tobytes()
     h.fill(np.nan)
     assert sample_matrix(spec, RngStream(seed, 0)).tobytes() == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), seed=SEED)
+def test_mask_fill_is_the_packed_scatter_exactly_symmetric_and_gathers_back(n, seed):
+    # random 64-bit patterns: every float64 value, NaN and infinities included,
+    # must be copied as is
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, upper_size(n), dtype=np.uint64)
+    values = bits.view(np.float64)
+    rows, cols = np.triu_indices(n)
+    scatter = np.empty((n, n))
+    scatter[rows, cols] = values
+    scatter[cols, rows] = values
+    h = _symmetric_from_upper(n, values)
+    assert h.tobytes() == scatter.tobytes()
+    assert h.tobytes() == h.T.tobytes()
+    assert h[_upper_mask(n)].tobytes() == values.tobytes()
+    listed = upper_triangle(n)
+    assert listed[0].tobytes() == rows.tobytes() and listed[1].tobytes() == cols.tobytes()
+    with pytest.raises(ValueError):
+        _upper_mask(n)[-1, 0] = True

@@ -2,6 +2,7 @@ import subprocess
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rmtlab.errors import DegenerateSpectrumError, NumericalError
 from rmtlab.rng import RngStream, derive_stream, trial_map
@@ -140,3 +141,28 @@ def test_trial_map_reraises_the_original_exception_object():
     assert info.value is original
     assert info.value.returncode == 9
     assert info.value.cmd == ["solver", "--fast"]
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000])
+def test_uniform_matches_the_offset_integer_formula(size):
+    # the Philox keystream of the stream's address, read as 52-bit integers
+    twin = np.random.Generator(np.random.Philox(key=np.array([5, 9], dtype=np.uint64)))
+    stream = RngStream(5, 9)
+    for _ in range(3):
+        k = twin.integers(0, 1 << 52, size=size, dtype=np.int64)
+        u = stream.uniform(size)
+        assert np.asarray(u).tobytes() == np.asarray((k + 0.5) * 2.0 ** -52).tobytes()
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000])
+@pytest.mark.parametrize("array_variance", [False, True])
+def test_gaussian_matches_mean_plus_root_variance_times_ndtri(size, array_variance):
+    variance = 0.7
+    if array_variance:
+        variance = np.array(1.5) if size is None else np.linspace(0.0, 3.0, size)
+    stream, twin = RngStream(8, 2), RngStream(8, 2)
+    for mean in (0.0, -1.25):
+        x = stream.gaussian(mean, variance, size=size)
+        ref = mean + np.sqrt(variance) * ndtri(twin.uniform(size))
+        assert np.shape(x) == np.shape(ref)
+        assert np.asarray(x).tobytes() == np.asarray(ref).tobytes()
