@@ -7,10 +7,8 @@ and writes histogram data next to the Wigner surmise curve.
 
 import numpy as np
 
-from rmtlab import EnsembleSpec, derive_stream, ks_distance
-from rmtlab.ensembles import sample_matrix
+from rmtlab import EnsembleSpec, ks_distance, sample_spectra
 from rmtlab.experiments import emit_histogram
-from rmtlab.spectral import eigenvalues_of
 from rmtlab.statistics import bulk_gaps
 
 SEED = 20250808
@@ -18,11 +16,8 @@ N, TRIALS, KAPPA = 600, 60, 0.25
 
 
 def collect(spec, base):
-    out = []
-    for k in range(TRIALS):
-        lam = eigenvalues_of(sample_matrix(spec, derive_stream(SEED, base + k)))
-        out.append(bulk_gaps(lam, KAPPA))
-    return np.concatenate(out)
+    spectra = sample_spectra(spec, TRIALS, SEED, stream_base=base)
+    return np.concatenate([bulk_gaps(lam, KAPPA) for lam in spectra])
 
 
 sparse = collect(EnsembleSpec(n=N, kind="erdos_renyi", q_exponent=0.4), 0)

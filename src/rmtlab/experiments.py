@@ -222,6 +222,9 @@ class ExperimentConfig:
                   "threads": (1, math.inf)}
         ints = {key: attempt("", lambda: _integer(key, getattr(self, key), lo, hi))
                 for key, (lo, hi) in bounds.items()}
+        if self.experiment in ("free-conv", "acceptance") and ints["trials"] not in (None, 1):
+            errs.append(f"experiment {self.experiment!r} runs no trials of its own, "
+                        f"so trials must be 1, got {self.trials}")
         if not isinstance(self.stats, dict):
             return None, errs + [f"stats must be an object, got {self.stats!r}"]
         table = STATS_FIELDS.get(self.experiment, {})

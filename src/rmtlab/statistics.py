@@ -14,9 +14,9 @@ eigenvalues weighted by a product of two 1-d bumps.
 
 Monte Carlo estimators draw per-trial streams derived from (seed, stream_base
 + trial), so results do not depend on how trials are scheduled, and coupled
-comparisons at t = 0 are exactly zero.  Estimators that read a fixed index
-window of each spectrum solve for that window only, and draw their GOE
-reference from the tridiagonal model, which has the same eigenvalue law.
+comparisons at t = 0 are exactly zero.  Every GOE spectrum is drawn from the
+tridiagonal model, which has the dense GOE's eigenvalue law, and estimators
+that read a fixed index window of each spectrum solve for that window only.
 """
 
 import functools
@@ -186,13 +186,10 @@ def sample_spectra(spec: EnsembleSpec, trials, seed, *, stream_base=0,
     Row k is ``eigenvalues_of(draw(derive_stream(seed, stream_base + k)),
     select=select)``: the whole spectrum, or only indices lo..hi for
     ``select=(lo, hi)``.  Rows come back in trial order at any thread count.
-    With a window, GOE is drawn from the tridiagonal model (same eigenvalue
-    law, far cheaper); without one it is drawn dense, because the dense draw
-    pins the bytes of full-spectrum artifacts and of the shared GOE spectra of
-    acceptance criteria 3 and 4, and switching those waits for law-equality
-    evidence at n = 1000.
+    GOE is drawn from the tridiagonal model (the dense GOE's eigenvalue law
+    at a fraction of the cost); every other kind by ``sample_matrix``.
     """
-    if select is not None and spec.kind == "goe":
+    if spec.kind == "goe":
         draw = functools.partial(sample_goe_tridiagonal, spec.n)
     else:
         draw = functools.partial(sample_matrix, spec)

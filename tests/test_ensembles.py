@@ -151,22 +151,41 @@ def test_tridiagonal_goe_consumes_exactly_2n_minus_1_uniforms(n, seed, index):
     assert np.array_equal(stream.uniform(4), fresh.uniform(4))
 
 
-def test_tridiagonal_goe_has_the_dense_goe_eigenvalue_law():
-    # Dense and tridiagonal spectra from disjoint streams, compared by
-    # two-sample KS distance.  The central gaps are iid across trials: bound
-    # 1.949 sqrt(2/trials), the critical value at level 0.001.  Pooled
-    # eigenvalues and bulk gaps are correlated within a spectrum, which the iid
-    # value ignores; their pinned bounds are about 3x what these seeds give,
-    # and chi degrees of freedom off by one already break both.
-    n, trials = 200, 1000
-    dense = [eigenvalues_of(sample_goe(n, derive_stream(31, k)))
+def dense_vs_tridiagonal_ks(n, trials, seed):
+    """Two-sample KS distances between ``trials`` dense and ``trials``
+    tridiagonal GOE spectra from disjoint streams: of the pooled eigenvalues,
+    of the bulk gaps at kappa = 0.25, and of the central gap."""
+    dense = [eigenvalues_of(sample_goe(n, derive_stream(seed, k)))
              for k in range(trials)]
-    tri = [eigenvalues_of(sample_goe_tridiagonal(n, derive_stream(31, trials + k)))
+    tri = [eigenvalues_of(sample_goe_tridiagonal(n, derive_stream(seed, trials + k)))
            for k in range(trials)]
     pooled = [np.concatenate(s) for s in (dense, tri)]
     gaps = [np.concatenate([bulk_gaps(lam, 0.25) for lam in s]) for s in (dense, tri)]
     c = n // 2 - 1
     central = [np.array([lam[c + 1] - lam[c] for lam in s]) for s in (dense, tri)]
-    assert ks_distance(*pooled) <= 0.0015
-    assert ks_distance(*gaps) <= 0.008
-    assert ks_distance(*central) <= 1.949 * np.sqrt(2.0 / trials)
+    return ks_distance(*pooled), ks_distance(*gaps), ks_distance(*central)
+
+
+# The central gaps are iid across trials: bound 1.949 sqrt(2/trials), the
+# critical value at level 0.001.  Pooled eigenvalues and bulk gaps are
+# correlated within a spectrum, which the iid value ignores; their pinned
+# bounds are about 3x what a seed sweep gives, and chi degrees of freedom off
+# by one already break both at n = 200.
+def test_tridiagonal_goe_has_the_dense_goe_eigenvalue_law():
+    trials = 1000
+    pooled, gaps, central = dense_vs_tridiagonal_ks(200, trials, 31)
+    assert pooled <= 0.0015
+    assert gaps <= 0.008
+    assert central <= 1.949 * np.sqrt(2.0 / trials)
+
+
+def test_tridiagonal_goe_has_the_dense_goe_eigenvalue_law_at_n_1000():
+    # The size of criteria 3 and 4, whose GOE spectra sample_spectra draws
+    # tridiagonally.  Seeds 31-38 gave pooled 0.0005-0.0007 and bulk gaps
+    # 0.004-0.009; a diagonal variance off by a factor of 2 gives gaps above
+    # 0.03.  A chi degree of freedom off by one needs the n = 200 test.
+    trials = 60
+    pooled, gaps, central = dense_vs_tridiagonal_ks(1000, trials, 31)
+    assert pooled <= 0.002
+    assert gaps <= 0.02
+    assert central <= 1.949 * np.sqrt(2.0 / trials)

@@ -271,9 +271,13 @@ ER = {"n": 20, "kind": "erdos_renyi", "q_exponent": 0.4}
      "kind 'goe' fixes its mean"),
     ({"experiment": "repulsion", "ensemble": GOE,
       "stats": {"tau": 0.2, "threshold": 0.01}}, "exactly one of tau and threshold"),
+    ({"experiment": "free-conv", "stats": {"theta_sq": 0.25}, "trials": 5},
+     "experiment 'free-conv' runs no trials of its own, so trials must be 1, got 5"),
+    ({"experiment": "acceptance", "stats": {"scale": 0.01}, "trials": 2},
+     "experiment 'acceptance' runs no trials of its own, so trials must be 1, got 2"),
 ], ids=["gaps-typo", "spectrum-stats", "acceptance-ensemble",
         "free-conv-ensemble", "goe-q-exponent", "goe-mean-f",
-        "repulsion-tau-and-threshold"])
+        "repulsion-tau-and-threshold", "free-conv-trials", "acceptance-trials"])
 def test_cli_rejects_config_fields_nothing_reads(tmp_path, capsys, config, message):
     assert_cli_exits_2(tmp_path, capsys, config, message)
 
@@ -559,28 +563,54 @@ def test_run_writes_exactly_the_reported_artifacts(tmp_path, name, config):
     assert names[-1] == "report.json"  # after the files the runner returned
 
 
-def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # From n = 300 up, OpenBLAS's eigensolvers round differently at another
-    # thread count unless rmtlab.spectral pins them to one.
+def _spectrum_bytes_in_a_subprocess(tmp_path, ensemble, **env):
+    """{name: bytes} of a two-trial ``rmtlab spectrum`` run in a fresh process
+    whose environment sets ``env`` (and no other OpenBLAS kernel)."""
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"experiment": "spectrum",
-                                  "ensemble": {"n": 400, "kind": "goe"}, "trials": 2}))
+    config.write_text(json.dumps({"experiment": "spectrum", "ensemble": ensemble,
+                                  "trials": 2}))
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
     path = [str(Path(rmtlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    artifacts = []
-    for blas_threads in ("1", "2"):
-        out = tmp_path / f"blas-{blas_threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run(
-            [sys.executable, "-m", "rmtlab.cli", "spectrum", "--config", str(config),
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert sorted(artifacts[0]) == ["report.json", "spectrum_0000.csv",
-                                    "spectrum_0001.csv"]
-    assert artifacts[0] == artifacts[1]
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    done = subprocess.run(
+        [sys.executable, "-m", "rmtlab.cli", "spectrum", "--config", str(config),
+         "--out", str(out)],
+        env={**base, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    artifacts = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(artifacts) == ["report.json", "spectrum_0000.csv",
+                                 "spectrum_0001.csv"]
+    return artifacts
+
+
+def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # From n = 300 up, OpenBLAS's dense eigensolvers round differently at
+    # another thread count unless rmtlab.spectral pins them to one.  GOE
+    # spectra are tridiagonal solves, which no BLAS thread count moves, so the
+    # pin is checked on an Erdős–Rényi spectrum.
+    er = {"n": 400, "kind": "erdos_renyi"}
+    assert (_spectrum_bytes_in_a_subprocess(tmp_path, er, OPENBLAS_NUM_THREADS="1")
+            == _spectrum_bytes_in_a_subprocess(tmp_path, er, OPENBLAS_NUM_THREADS="2"))
+
+
+def _cpu_has(flag):
+    try:
+        return flag in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has("avx2"),
+                    reason="OpenBLAS's Haswell kernel needs AVX2")
+def test_goe_spectrum_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # Dense eigensolves round differently under another OpenBLAS kernel; GOE
+    # spectra come from the tridiagonal model, whose solve does not.
+    goe = {"n": 400, "kind": "goe"}
+    assert (_spectrum_bytes_in_a_subprocess(tmp_path, goe)
+            == _spectrum_bytes_in_a_subprocess(tmp_path, goe,
+                                               OPENBLAS_CORETYPE="Haswell"))
 
 
 def test_cli_acceptance_prints_every_criterion_and_writes_only_its_report(tmp_path,

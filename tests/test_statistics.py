@@ -182,12 +182,8 @@ def test_bulk_gaps_rejects_a_window_without_a_gap():
 
 
 def test_bulk_gaps_goe_mean_is_one():
-    n, trials = 1000, 100
-    acc = []
-    for k in range(trials):
-        lam = eigenvalues_of(sample_goe(n, derive_stream(2, 10 + k)))
-        acc.append(bulk_gaps(lam, 0.25))
-    mean_gap = np.concatenate(acc).mean()
+    spectra = sample_spectra(EnsembleSpec(n=1000, kind="goe"), 100, 2, stream_base=10)
+    mean_gap = np.concatenate([bulk_gaps(lam, 0.25) for lam in spectra]).mean()
     assert mean_gap == pytest.approx(1.0, abs=0.02)
 
 
@@ -450,13 +446,13 @@ _PIPELINE_SPECS = {
 def test_sample_spectra_equals_the_serial_reference_loop(kind, n, trials, seed,
                                                          base):
     spec = _PIPELINE_SPECS[kind](n)
+    if kind == "goe":
+        def draw(stream):
+            return sample_goe_tridiagonal(n, stream)
+    else:
+        def draw(stream):
+            return sample_matrix(spec, stream)
     for select in (None, (n // 2 - 1, n // 2 + 1)):
-        if select is not None and kind == "goe":
-            def draw(stream):
-                return sample_goe_tridiagonal(n, stream)
-        else:
-            def draw(stream):
-                return sample_matrix(spec, stream)
         expect = np.array([
             eigenvalues_of(draw(derive_stream(seed, base + k)), select=select)
             for k in range(trials)
