@@ -12,10 +12,10 @@ point takes its Newton step only where that step is finite, stays in the upper
 half plane and lowers the residual; otherwise it takes the damped fixed-point
 step m/2 + m_0/2.  The unique solution with Im m > 0 is then the only value
 the iteration can settle on, usually within about four evaluations.  Points
-that MAX_GUARDED steps leave unconverged finish on damped steps and then on
-scalar Newton steps.  Every returned value is certified to residual 1e-12, and
-a block gives every point the same iterates, bit for bit, as a solve at that
-point alone.
+that MAX_GUARDED steps leave unconverged go on in the same block loop, first
+with damped steps and then with plain Newton steps.  Every stage exits on the
+same test: every returned value is certified to residual 1e-12.  A block gives
+every point the same iterates, bit for bit, as a solve at that point alone.
 
 Densities come from Stieltjes inversion, rho_t(E) = Im m_t(E + i eta)/pi, and
 classical locations from quantiles of the numerically integrated density.
@@ -76,15 +76,9 @@ class FreeConvInput:
             object.__setattr__(self, "eigenvalues", np.sort(lam))
 
     def m0(self, w):
-        """m_0 at one point, or at each point of a 1-d array."""
-        if self.eigenvalues is None:
-            return m_sc(w) if np.ndim(w) == 0 else _m_sc_by_point(w)
-        d = self.eigenvalues - np.asarray(w)[..., None]
-        return np.mean(np.divide(1.0, d, out=d), axis=-1)
-
-    def _m0_and_prime(self, w):
-        """(m0, m0') at each point of a 1-d array, from one reciprocal pass
-        over the eigenvalues: m0' is the mean of the squared reciprocals."""
+        """(m_0, m_0') at each point of a 1-d array w.  On an eigenvalue base
+        both come from one reciprocal pass q = 1/(lambda - w): m_0 is the mean
+        of q and m_0' the mean of q^2."""
         if self.eigenvalues is None:
             m = _m_sc_by_point(w)
             return m, np.array([x * x / (1.0 - x * x) for x in m], dtype=complex)
@@ -93,12 +87,6 @@ class FreeConvInput:
         # q * q, not in place: numpy squares a one-element complex array in
         # place with other rounding than it uses for every longer array
         return q.mean(axis=-1), (q * q).mean(axis=-1)
-
-    def m0_prime(self, w):
-        if self.eigenvalues is None:
-            m = m_sc(w)
-            return m * m / (1.0 - m * m)
-        return np.mean(1.0 / (self.eigenvalues - w) ** 2)
 
     def support_window(self):
         """Window certain to contain the support of the deformed density."""
@@ -110,13 +98,15 @@ class FreeConvInput:
         return lo - 2.0 * theta - 1.0, hi + 2.0 * theta + 1.0
 
 
-def solve_m_t(z, inp: FreeConvInput, tol=RESIDUAL_TOL):
+def solve_m_t(z, inp: FreeConvInput):
     """Solve m = m0(z + theta^2 m) on the upper half plane.
 
     z is one point, giving a complex, or an array of points, giving a complex
     array of its shape; each point gets the value a solve there alone gives.
     """
     zs = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("z must be finite")
     if np.any(zs.imag <= 0):
         raise ValueError("Im z must be positive")
     flat = zs.reshape(-1)
@@ -124,55 +114,50 @@ def solve_m_t(z, inp: FreeConvInput, tol=RESIDUAL_TOL):
     lam_size = 1 if inp.eigenvalues is None else inp.eigenvalues.size
     block = max(1, BLOCK_BYTES // (16 * lam_size))
     for k in range(0, flat.size, block):
-        out[k:k + block] = _solve_block(flat[k:k + block], inp, tol)
+        out[k:k + block] = _solve_block(flat[k:k + block], inp)
     return out.reshape(zs.shape)[()]
 
 
-def _solve_block(z, inp, tol):
+def _solve_block(z, inp):
     v = inp.theta_sq
     if v == 0.0:
-        return inp.m0(z)
+        return inp.m0(z)[0]
 
-    # Guarded Newton from the semicircle initializer.  Each evaluation gives
-    # f = m0(w) and fp = m0'(w) at w = z + v m, so F = m - f is the residual
-    # of m and 1 - v fp its derivative.
+    # Each evaluation gives f = m0(w) and fp = m0'(w) at w = z + v m, so
+    # F = m - f is the residual of m and 1 - v fp its derivative.  A point
+    # leaves the block once |F| <= tol, or once a Newton iterate leaves the
+    # upper half plane; the step rules take their turns under their budgets.
+    rules = ([_guarded_step] * MAX_GUARDED + [_damped_step] * MAX_FIXED_POINT
+             + [_newton_step] * MAX_NEWTON)
     m = _m_sc_by_point(z)
     out = np.empty_like(m)
     active, za = np.arange(z.size), z
-    f, fp = inp._m0_and_prime(za + v * m)
-    for step in range(MAX_GUARDED + 1):
+    f, fp = inp.m0(za + v * m)
+    for step in range(len(rules) + 1):
         res = _modulus(m - f)
-        done = res <= tol
+        done = (res <= RESIDUAL_TOL) | (m.imag < 0)
         out[active[done]] = m[done]
         keep = ~done
         active, za, m, f, fp, res = (x[keep] for x in (active, za, m, f, fp, res))
-        if active.size == 0 or step == MAX_GUARDED:
+        if active.size == 0 or step == len(rules):
             break
-        m, f, fp = _guarded_step(za, m, f, fp, res, inp)
-
-    # Points the guarded steps leave unconverged finish on damped fixed-point
-    # steps.  m0 maps the upper half plane into itself, so every iterate keeps
-    # Im m > 0.  f = m0(z + v m) serves both the residual of m and the next step.
-    for _ in range(MAX_FIXED_POINT if active.size else 0):
-        nxt = 0.5 * m + 0.5 * f
-        f = inp.m0(za + v * nxt)
-        done = (_modulus(nxt - m) < 0.25 * tol) & (_modulus(nxt - f) <= tol)
-        out[active[done]] = nxt[done]
-        keep = ~done
-        active, za, m, f = active[keep], za[keep], nxt[keep], f[keep]
-        if active.size == 0:
-            break
+        m, f, fp = rules[step](za, m, f, fp, res, inp)
     out[active] = m
 
     # In point order, so that the first failing point raises what a solve
     # there alone would.
-    stalled = np.zeros(z.size, dtype=bool)
-    stalled[active] = True
-    for k in np.flatnonzero(stalled | (out.imag < 0)):
-        if stalled[k]:
-            out[k] = _newton(complex(z[k]), out[k], inp, tol)
-        else:
-            _check_branch(out[k])
+    failed = out.imag < 0
+    failed[active] = True
+    if failed.any():
+        k = int(np.argmax(failed))
+        if out[k].imag < 0:
+            raise BranchError(
+                f"Newton iterate left the upper half plane at z = {complex(z[k])}"
+            )
+        r = float(res[np.searchsorted(active, k)])
+        raise FixedPointError(
+            f"no convergence at z = {complex(z[k])}: residual {r:.3e}", residual=r
+        )
     return out
 
 
@@ -186,12 +171,29 @@ def _guarded_step(z, m, f, fp, res, inp):
         c = m - (m - f) / (1.0 - v * fp)
     newton = np.isfinite(c) & (c.imag > 0)
     c[~newton] = damped[~newton]
-    fc, fpc = inp._m0_and_prime(z + v * c)
+    fc, fpc = inp.m0(z + v * c)
     back = newton & ~(_modulus(c - fc) < res)
     if back.any():
         c[back] = damped[back]
-        fc[back], fpc[back] = inp._m0_and_prime(z[back] + v * c[back])
+        fc[back], fpc[back] = inp.m0(z[back] + v * c[back])
     return c, fc, fpc
+
+
+def _damped_step(z, m, f, fp, res, inp):
+    """The damped fixed-point step m/2 + f/2.  m0 maps the upper half plane
+    into itself, so every iterate keeps Im m > 0."""
+    c = 0.5 * m + 0.5 * f
+    return (c, *inp.m0(z + inp.theta_sq * c))
+
+
+def _newton_step(z, m, f, fp, res, inp):
+    """The plain Newton step m - F/(1 - v fp).  A point whose step is not
+    finite keeps m, and so ends unconverged with the residual it has."""
+    v = inp.theta_sq
+    with np.errstate(all="ignore"):
+        c = m - (m - f) / (1.0 - v * fp)
+    c = np.where(np.isfinite(c), c, m)
+    return (c, *inp.m0(z + v * c))
 
 
 def _m_sc_by_point(w):
@@ -203,36 +205,6 @@ def _m_sc_by_point(w):
 def _modulus(d):
     # np.abs on a complex array rounds differently from abs() of one value.
     return np.hypot(d.real, d.imag)
-
-
-def _newton(z, m, inp, tol):
-    """Newton steps at one point from the last damped iterate m."""
-    v = inp.theta_sq
-    for _ in range(MAX_NEWTON):
-        w = z + v * m
-        f = m - inp.m0(w)
-        if abs(f) <= tol:
-            return _check_branch(m)
-        fp = 1.0 - v * inp.m0_prime(w)
-        if fp == 0:
-            break
-        m = m - f / fp
-        if m.imag < 0:
-            raise BranchError(
-                f"Newton iterate left the upper half plane at z = {z}"
-            )
-    res = abs(m - inp.m0(z + v * m))
-    if res <= tol:
-        return _check_branch(m)
-    raise FixedPointError(
-        f"no convergence at z = {z}: residual {res:.3e}", residual=res
-    )
-
-
-def _check_branch(m):
-    if m.imag < 0:
-        raise BranchError(f"solution drifted below the real axis: Im m = {m.imag:.3e}")
-    return m
 
 
 def density_from_stieltjes(inp: FreeConvInput, e, eta):

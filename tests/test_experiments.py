@@ -563,26 +563,28 @@ def test_run_writes_exactly_the_reported_artifacts(tmp_path, name, config):
     assert names[-1] == "report.json"  # after the files the runner returned
 
 
-def _spectrum_bytes_in_a_subprocess(tmp_path, ensemble, **env):
-    """{name: bytes} of a two-trial ``rmtlab spectrum`` run in a fresh process
-    whose environment sets ``env`` (and no other OpenBLAS kernel)."""
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"experiment": "spectrum", "ensemble": ensemble,
-                                  "trials": 2}))
-    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+def _artifact_bytes_in_a_subprocess(tmp_path, config, names, **env):
+    """{name: bytes} of an ``rmtlab`` run of ``config`` in a fresh process
+    whose environment sets ``env`` (and no other OpenBLAS kernel); the run
+    must write exactly the artifacts ``names``."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "cfg.json").write_text(json.dumps(config))
     path = [str(Path(rmtlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     done = subprocess.run(
-        [sys.executable, "-m", "rmtlab.cli", "spectrum", "--config", str(config),
-         "--out", str(out)],
+        [sys.executable, "-m", "rmtlab.cli", config["experiment"],
+         "--config", str(work / "cfg.json"), "--out", str(work / "out")],
         env={**base, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    artifacts = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(artifacts) == ["report.json", "spectrum_0000.csv",
-                                 "spectrum_0001.csv"]
+    artifacts = {p.name: p.read_bytes() for p in (work / "out").iterdir()}
+    assert sorted(artifacts) == sorted(names)
     return artifacts
+
+
+SPECTRUM_ARTIFACTS = ["report.json", "spectrum_0000.csv", "spectrum_0001.csv"]
+FREE_CONV_ARTIFACTS = ["density.csv", "deviation.csv", "report.json"]
 
 
 def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -590,9 +592,12 @@ def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # another thread count unless rmtlab.spectral pins them to one.  GOE
     # spectra are tridiagonal solves, which no BLAS thread count moves, so the
     # pin is checked on an Erdős–Rényi spectrum.
-    er = {"n": 400, "kind": "erdos_renyi"}
-    assert (_spectrum_bytes_in_a_subprocess(tmp_path, er, OPENBLAS_NUM_THREADS="1")
-            == _spectrum_bytes_in_a_subprocess(tmp_path, er, OPENBLAS_NUM_THREADS="2"))
+    er = {"experiment": "spectrum", "ensemble": {"n": 400, "kind": "erdos_renyi"},
+          "trials": 2}
+    assert (_artifact_bytes_in_a_subprocess(tmp_path, er, SPECTRUM_ARTIFACTS,
+                                            OPENBLAS_NUM_THREADS="1")
+            == _artifact_bytes_in_a_subprocess(tmp_path, er, SPECTRUM_ARTIFACTS,
+                                               OPENBLAS_NUM_THREADS="2"))
 
 
 def _cpu_has(flag):
@@ -602,15 +607,33 @@ def _cpu_has(flag):
         return False
 
 
-@pytest.mark.skipif(not _cpu_has("avx2"),
-                    reason="OpenBLAS's Haswell kernel needs AVX2")
+needs_haswell_kernel = pytest.mark.skipif(not _cpu_has("avx2"),
+                                          reason="OpenBLAS's Haswell kernel needs AVX2")
+
+
+def _bytes_under_both_kernels(tmp_path, config, names):
+    return (_artifact_bytes_in_a_subprocess(tmp_path, config, names),
+            _artifact_bytes_in_a_subprocess(tmp_path, config, names,
+                                            OPENBLAS_CORETYPE="Haswell"))
+
+
+@needs_haswell_kernel
 def test_goe_spectrum_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
     # Dense eigensolves round differently under another OpenBLAS kernel; GOE
     # spectra come from the tridiagonal model, whose solve does not.
-    goe = {"n": 400, "kind": "goe"}
-    assert (_spectrum_bytes_in_a_subprocess(tmp_path, goe)
-            == _spectrum_bytes_in_a_subprocess(tmp_path, goe,
-                                               OPENBLAS_CORETYPE="Haswell"))
+    goe = {"experiment": "spectrum", "ensemble": {"n": 400, "kind": "goe"}, "trials": 2}
+    default, haswell = _bytes_under_both_kernels(tmp_path, goe, SPECTRUM_ARTIFACTS)
+    assert default == haswell
+
+
+@needs_haswell_kernel
+@pytest.mark.parametrize("base", ["semicircle", "atom"])
+def test_free_conv_bytes_on_the_analytic_bases_do_not_depend_on_the_openblas_kernel(
+        tmp_path, base):
+    # These bases need no eigensolve, and the solver itself calls no BLAS.
+    config = {"experiment": "free-conv", "stats": {"theta_sq": 1.0, "base": base}}
+    default, haswell = _bytes_under_both_kernels(tmp_path, config, FREE_CONV_ARTIFACTS)
+    assert default == haswell
 
 
 def test_cli_acceptance_prints_every_criterion_and_writes_only_its_report(tmp_path,

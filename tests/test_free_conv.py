@@ -1,3 +1,4 @@
+import warnings
 from functools import cache
 
 import numpy as np
@@ -83,13 +84,10 @@ def damped_oracle_m_t(z, inp, tol=RESIDUAL_TOL):
     raise FixedPointError("no convergence", residual=residual(m))
 
 
-def reference_solve_m_t(z, inp, tol=RESIDUAL_TOL):
-    """The guarded solver one point at a time: returns (m_t(z), the stage that
+def reference_solve_m_t(z, inp):
+    """The block solver one point at a time: returns (m_t(z), the stage that
     certified it: "guarded", "damped" or "newton")."""
-    lam, v = inp.eigenvalues, inp.theta_sq
-
-    def m0(w):
-        return m_sc(w) if lam is None else np.mean(1.0 / (lam - w))
+    lam, v, tol = inp.eigenvalues, inp.theta_sq, free_conv.RESIDUAL_TOL
 
     def m0_and_prime(w):
         if lam is None:
@@ -98,64 +96,43 @@ def reference_solve_m_t(z, inp, tol=RESIDUAL_TOL):
         q = 1.0 / (lam - w)
         return np.mean(q), np.mean(q * q)
 
-    def m0_prime(w):
-        if lam is None:
-            return m0_and_prime(w)[1]
-        return np.mean(1.0 / (lam - w) ** 2)
-
-    def residual(m):
-        return abs(m - m0(z + v * m))
-
-    def branch_checked(m):
-        if m.imag < 0:
-            raise BranchError("solution drifted below the real axis")
-        return m
+    def newton(m, f, fp):
+        with np.errstate(all="ignore"):
+            return m - (m - f) / (1.0 - v * fp)
 
     # numpy scalars throughout: a complex product or quotient of two numpy
     # values rounds as the block solver's array arithmetic does, one of two
     # Python complex values need not
     z = np.complex128(z)
     if v == 0.0:
-        return complex(m0(z)), "guarded"
-    m = np.complex128(m_sc(z))
+        return complex(m0_and_prime(z)[0]), "guarded"
+    stages = (["guarded"] * free_conv.MAX_GUARDED + ["damped"] * MAX_FIXED_POINT
+              + ["newton"] * MAX_NEWTON)
+    stage, m = "guarded", np.complex128(m_sc(z))
     f, fp = m0_and_prime(z + v * m)
-    for step in range(free_conv.MAX_GUARDED + 1):
-        res = abs(m - f)
-        if res <= tol:
-            return branch_checked(m), "guarded"
-        if step == free_conv.MAX_GUARDED:
-            break
-        with np.errstate(all="ignore"):
-            c = m - (m - f) / (1.0 - v * fp)
-        if np.isfinite(c) and c.imag > 0:
-            fc, fpc = m0_and_prime(z + v * c)
-            if abs(c - fc) < res:
-                m, f, fp = c, fc, fpc
-                continue
-        m = 0.5 * m + 0.5 * f
-        f, fp = m0_and_prime(z + v * m)
-    for _ in range(MAX_FIXED_POINT):
-        nxt = 0.5 * m + 0.5 * f
-        f = m0(z + v * nxt)
-        if abs(nxt - m) < 0.25 * tol and abs(nxt - f) <= tol:
-            return branch_checked(nxt), "damped"
-        m = nxt
-    if residual(m) <= tol:
-        return branch_checked(m), "damped"
-    for _ in range(MAX_NEWTON):
-        w = z + v * m
-        f = m - m0(w)
-        if abs(f) <= tol:
-            return branch_checked(m), "newton"
-        fp = 1.0 - v * m0_prime(w)
-        if fp == 0:
-            break
-        m = m - f / fp
+    for step in range(len(stages) + 1):
         if m.imag < 0:
             raise BranchError("Newton iterate left the upper half plane")
-    if residual(m) <= tol:
-        return branch_checked(m), "newton"
-    raise FixedPointError("no convergence", residual=residual(m))
+        res = abs(m - f)
+        if res <= tol:
+            return m, stage
+        if step == len(stages):
+            raise FixedPointError("no convergence", residual=res)
+        stage = stages[step]
+        if stage == "guarded":
+            c = newton(m, f, fp)
+            if np.isfinite(c) and c.imag > 0:
+                fc, fpc = m0_and_prime(z + v * c)
+                if abs(c - fc) < res:
+                    m, f, fp = c, fc, fpc
+                    continue
+            m = 0.5 * m + 0.5 * f
+        elif stage == "damped":
+            m = 0.5 * m + 0.5 * f
+        else:
+            c = newton(m, f, fp)
+            m = c if np.isfinite(c) else m
+        f, fp = m0_and_prime(z + v * m)
 
 
 def bits(values):
@@ -164,7 +141,7 @@ def bits(values):
 
 # Base [-1.4, -0.4, 1.4] at theta^2 = 0.5 and z = -2.35 + 1e-4i, near the
 # lower edge of the deformed support: neither the guarded steps nor the damped
-# ones certify the point, and scalar Newton steps finish it.
+# ones certify the point, and plain Newton steps finish it.
 NEWTON_BASE, NEWTON_THETA_SQ, NEWTON_Z = [-1.4, -0.4, 1.4], 0.5, -2.35 + 1e-4j
 
 # Two values that each leave residual <= tol differ by at most
@@ -179,11 +156,11 @@ LAW_C = 2.0
 def assert_certified_and_law_equal(z, inp, got):
     """Every value has residual <= tol and Im >= 0, and lies within the law
     bound of the damped oracle."""
-    w = z + inp.theta_sq * got
+    f, fp = inp.m0(z + inp.theta_sq * got)
     assert np.all(got.imag >= 0)
-    assert np.all(np.abs(got - inp.m0(w)) <= RESIDUAL_TOL)
+    assert np.all(np.abs(got - f) <= RESIDUAL_TOL)
     oracle = np.array([damped_oracle_m_t(zk, inp)[0] for zk in z])
-    slope = np.abs(1.0 - inp.theta_sq * np.array([inp.m0_prime(wk) for wk in w]))
+    slope = np.abs(1.0 - inp.theta_sq * fp)
     assert np.all(np.abs(got - oracle) * slope <= LAW_C * RESIDUAL_TOL)
 
 
@@ -194,12 +171,22 @@ def sample_spectrum(n, kind):
     return eigenvalues_of(sample_matrix(spec, derive_stream(59, n)))
 
 
-def test_newton_case_reaches_the_newton_tail():
-    inp = FreeConvInput(NEWTON_THETA_SQ, eigenvalues=np.array(NEWTON_BASE))
-    m, stage = reference_solve_m_t(NEWTON_Z, inp)
-    assert stage == "newton"
-    assert bits([solve_m_t(NEWTON_Z, inp)]) == bits([m])
-    assert_certified_and_law_equal(np.array([NEWTON_Z]), inp, np.array([m]))
+# One point certified in each stage of the block loop.
+STAGE_CASES = {
+    "guarded": (0.25, None, 0.3 + 0.05j),
+    "damped": (1.0, None, -2.81 + 1e-4j),
+    "newton": (NEWTON_THETA_SQ, NEWTON_BASE, NEWTON_Z),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_CASES))
+def test_each_stage_certifies_its_case(stage):
+    theta_sq, base, z = STAGE_CASES[stage]
+    inp = FreeConvInput(theta_sq, eigenvalues=None if base is None else np.array(base))
+    m, got = reference_solve_m_t(z, inp)
+    assert got == stage
+    assert bits([solve_m_t(z, inp)]) == bits([m])
+    assert_certified_and_law_equal(np.array([z]), inp, np.array([m]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +228,8 @@ def test_guarded_newton_stays_in_the_upper_half_plane(kind, theta_sq, eta):
     assert np.all(m.imag >= 0)
     for k in range(0, z.size, 500):
         part = slice(k, k + 500)
-        assert np.all(np.abs(m[part] - inp.m0(z[part] + theta_sq * m[part])) <= RESIDUAL_TOL)
+        assert np.all(np.abs(m[part] - inp.m0(z[part] + theta_sq * m[part])[0])
+                      <= RESIDUAL_TOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,6 +268,8 @@ def test_block_convergence_test_reads_the_modulus_of_one_value():
 @settings(max_examples=5, deadline=None)
 @given(theta_sq=st.floats(1e-3, 2.0), eta=st.floats(1e-5, 1.0),
        energies=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=20))
+@example(theta_sq=STAGE_CASES["damped"][0], eta=STAGE_CASES["damped"][2].imag,
+         energies=[-1.0, STAGE_CASES["damped"][2].real, 2.0])
 def test_block_solver_on_the_semicircle_base_matches_the_point_solver(theta_sq, eta,
                                                                       energies):
     inp = FreeConvInput(theta_sq)
@@ -372,9 +362,9 @@ def test_atom_base_closed_form():
 def test_solver_residual_certificate():
     lam = eigenvalues_of(sample_goe(300, derive_stream(41, 0)))
     inp = FreeConvInput(theta_sq=0.1, eigenvalues=lam)
-    for z in (0.0 + 0.01j, 1.2 + 0.001j, -1.9 + 0.05j):
-        m = solve_m_t(z, inp)
-        assert abs(m - inp.m0(z + 0.1 * m)) <= 1e-12
+    z = np.array([0.0 + 0.01j, 1.2 + 0.001j, -1.9 + 0.05j])
+    m = solve_m_t(z, inp)
+    assert np.all(np.abs(m - inp.m0(z + 0.1 * m)[0]) <= 1e-12)
 
 
 def test_herglotz_and_self_improving_bound():
@@ -521,11 +511,37 @@ def test_input_validation():
         density_profile(FreeConvInput(theta_sq=0.1), [0.0], eta=0.0)
 
 
-def test_array_solve_raises_the_first_failing_points_error():
+NON_FINITE = [complex(np.nan, 0.1), complex(0.1, np.nan), complex(np.inf, 0.1),
+              complex(-np.inf, 0.1), complex(0.1, np.inf)]
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=str)
+def test_non_finite_z_is_rejected_before_any_step(z):
+    # no step is taken, so neither a RuntimeWarning nor FixedPointError
+    inp = FreeConvInput(0.5, eigenvalues=np.array(NEWTON_BASE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points in (z, np.array([0.1j, z])):
+            with pytest.raises(ValueError, match="finite"):
+                solve_m_t(points, inp)
+
+
+def test_grid_callers_reject_a_nan_energy_or_eta():
+    inp = FreeConvInput(0.5, eigenvalues=np.array(NEWTON_BASE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            density_profile(inp, [0.0, 1.0], eta=np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            deviation_report(inp, np.array([0.0, np.nan]), eta=0.1)
+
+
+def test_array_solve_raises_the_first_failing_points_error(monkeypatch):
     # tol = 0 cannot be certified at 0.1 + 0.01i (at many points it can: a
     # Newton step may leave residual exactly 0), so that first point fails in
-    # the Newton tail
+    # the Newton stage
+    monkeypatch.setattr(free_conv, "RESIDUAL_TOL", 0.0)
     inp = FreeConvInput(NEWTON_THETA_SQ, eigenvalues=np.array(NEWTON_BASE))
     with pytest.raises(FixedPointError, match=r"z = \(0\.1\+0\.01j\)") as err:
-        solve_m_t(np.array([0.1 + 0.01j, NEWTON_Z]), inp, tol=0.0)
+        solve_m_t(np.array([0.1 + 0.01j, NEWTON_Z]), inp)
     assert err.value.residual > 0
