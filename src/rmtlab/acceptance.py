@@ -319,9 +319,11 @@ class AcceptanceSuite:
         """Solver vs the scaled-semicircle closed form, plus the atom base.
 
         Semicircle (+) theta-semicircle is the semicircle of variance
-        1 + theta^2, so m_t(z) = m_sc(z/s)/s with s = sqrt(1.25); an atom at
-        0 deforms to the radius-2theta semicircle with density 1/pi at 0 for
-        theta = 1.
+        1 + theta^2, so m_t(z) = m_sc(z/s)/s with s = sqrt(1.25).  The solver
+        starts every point at that value, so this leg checks the start and
+        its residual certificate, not the iteration.  The atom leg does run
+        the iteration: an atom at 0 deforms to the radius-2theta semicircle
+        with density 1/pi at 0 for theta = 1.
         """
         start = time.perf_counter()
         inp = FreeConvInput(theta_sq=0.25)
