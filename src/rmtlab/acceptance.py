@@ -441,17 +441,10 @@ class AcceptanceSuite:
         i = n // 2 - 1
         cut = stats.CutoffSpec.from_n_tau(n, 0.2)
         trials = self._trials(400)
-
-        def compare(t):
-            return stats.chi_q_flow_comparison(
-                spec, FlowParams(n=n, t=t, mean=spec.entry_mean), i, cut,
-                trials, self.seed,
-                stream_base=_BASE_FLOW_CONT, threads=self.threads,
-            )
-
-        at0 = compare(0.0)
-        small = compare(1e-4)
-        large = compare(1e-2)
+        flows = [FlowParams(n=n, t=t, mean=spec.entry_mean) for t in (0.0, 1e-4, 1e-2)]
+        at0, small, large = stats.chi_q_flow_comparison(
+            spec, flows, i, cut, trials, self.seed, stream_base=_BASE_FLOW_CONT,
+            threads=self.threads)
         se = math.hypot(small.se, large.se)
         ok = at0.diff == 0.0 and abs(small.diff) <= abs(large.diff) + 3.0 * se
         return CriterionResult(

@@ -414,8 +414,8 @@ def _run_flow_compare(cfg, r):
     spec, params = r.spec, r.params
     i = spec.n // 2 - 1 if r.stats["index"] is None else r.stats["index"]
     cut = stats.CutoffSpec.from_n_tau(spec.n, r.stats["tau"])
-    cmp = stats.chi_q_flow_comparison(
-        spec, params, i, cut, cfg.trials, cfg.seed, threads=cfg.threads
+    [cmp] = stats.chi_q_flow_comparison(
+        spec, [params], i, cut, cfg.trials, cfg.seed, threads=cfg.threads
     )
     payload = {
         "e0": cmp.e0,
@@ -456,8 +456,8 @@ def _run_green_compare(cfg, r):
     spec, params, s = r.spec, r.params, r.stats
     eta = 1.0 / spec.n if s["eta"] is None else s["eta"]
     zs = [complex(e, eta) for e in s["e_list"]]
-    cmp = stats.green_trace_comparison(
-        spec, params, zs, s["f_kind"], cfg.trials, cfg.seed,
+    [cmp] = stats.green_trace_comparison(
+        spec, [params], zs, s["f_kind"], cfg.trials, cfg.seed,
         kappa=s["kappa"], delta=s["delta"], threads=cfg.threads,
     )
     payload = {

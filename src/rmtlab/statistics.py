@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import EnsembleSpec, sample_goe_tridiagonal, sample_matrix
-from .flow import FlowParams, evolve
+from .flow import evolve
 from .rng import derive_stream, trial_map
 from .spectral import (
     bulk_indices,
@@ -318,41 +318,54 @@ class FlowComparison:
     se: float
 
 
-def _coupled_flow_spectra(spec: EnsembleSpec, params: FlowParams, trials,
-                          seed, stream_base, threads):
-    """(spectrum of H_0, spectrum of H_t = evolve(H_0)) per trial, in trial order.
+def _coupled_flow_spectra(spec: EnsembleSpec, flows, trials, seed, stream_base,
+                          threads):
+    """Per trial, in trial order, the spectra [H_0, evolve(H_0) per flow].
 
-    Trial k draws H_0 from stream 2k and the flow noise from stream 2k+1, so
-    the two sides share every sample of H_0; at t = 0 they are equal.
+    Trial k draws H_0 from stream 2k and solves it once, so all flows share
+    every sample of H_0; each flow re-derives its noise from stream 2k+1, as
+    a one-flow pass would.  At t = 0 the two sides are equal.
     """
-    if params.n != spec.n:
-        raise ValueError(f"flow n = {params.n} does not match ensemble n = {spec.n}")
+    if trials < 2:
+        raise ValueError(f"a coupled comparison needs trials >= 2, got {trials}")
+    for params in flows:
+        if params.n != spec.n:
+            raise ValueError(f"flow n = {params.n} does not match ensemble n = {spec.n}")
 
     def one(k):
         h0 = sample_matrix(spec, derive_stream(seed, stream_base + 2 * k))
-        ht = evolve(h0, params, derive_stream(seed, stream_base + 2 * k + 1))
-        return eigenvalues_of(h0), eigenvalues_of(ht)
+        flowed = [evolve(h0, params, derive_stream(seed, stream_base + 2 * k + 1))
+                  for params in flows]
+        return [eigenvalues_of(h) for h in (h0, *flowed)]
 
     return trial_map(one, trials, threads)
 
 
-def chi_q_flow_comparison(spec: EnsembleSpec, params: FlowParams, i,
-                          cut: CutoffSpec, trials, seed, *, stream_base=0,
-                          threads=1):
-    """Compare E[chi_M(Q_i(H_0))] with E[chi_M(Q_i(H_t))] under coupling.
+def _flow_differences(values):
+    """(mean, se) over trials of values[:, j] - values[:, 0], per flow j >= 1."""
+    for j in range(1, values.shape[1]):
+        diffs = values[:, j] - values[:, 0]
+        yield diffs.mean(axis=0), diffs.std(axis=0, ddof=1) / math.sqrt(len(values))
 
-    H_t follows the flow ``params``; the two expectations share every sample
-    of H_0, so at t = 0 the difference is exactly zero.
+
+def chi_q_flow_comparison(spec: EnsembleSpec, flows, i, cut: CutoffSpec,
+                          trials, seed, *, stream_base=0, threads=1):
+    """Compare E[chi_M(Q_i(H_0))] with E[chi_M(Q_i(H_t))] under coupling:
+    one FlowComparison per entry of ``flows``, a sequence of FlowParams.
+
+    All flows share every sample of H_0, so at t = 0 the difference is
+    exactly zero.
     """
-    vals = np.array([
-        (chi_m(q_statistic(lam0, i), cut), chi_m(q_statistic(lamt, i), cut))
-        for lam0, lamt in _coupled_flow_spectra(spec, params, trials, seed,
-                                                stream_base, threads)
+    if not 0 <= i < spec.n:
+        raise ValueError(f"index {i} outside spectrum of size {spec.n}")
+    chi = np.array([
+        [chi_m(q_statistic(lam, i), cut) for lam in spectra]
+        for spectra in _coupled_flow_spectra(spec, flows, trials, seed,
+                                             stream_base, threads)
     ])
-    diffs = vals[:, 1] - vals[:, 0]
-    se = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return FlowComparison(float(vals[:, 0].mean()), float(vals[:, 1].mean()),
-                          float(diffs.mean()), se)
+    return [FlowComparison(float(chi[:, 0].mean()), float(chi[:, j].mean()),
+                           float(diff), float(se))
+            for j, (diff, se) in enumerate(_flow_differences(chi), 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,11 +377,10 @@ class GreenComparison:
     se: np.ndarray
 
 
-def green_trace_comparison(spec: EnsembleSpec, params: FlowParams, zs, f_kind,
-                           trials, seed, *, kappa=0.1, delta=0.5, stream_base=0,
-                           threads=1):
-    """Coupled comparison of resolvent-trace observables along the flow
-    ``params``, on the same trials as ``chi_q_flow_comparison``.
+def green_trace_comparison(spec: EnsembleSpec, flows, zs, f_kind, trials, seed,
+                           *, kappa=0.1, delta=0.5, stream_base=0, threads=1):
+    """Coupled comparison of resolvent-trace observables: one GreenComparison
+    per entry of ``flows``, a sequence of FlowParams that share every H_0.
 
     The admissible spectral window is |E| <= 2 - kappa with
     N^(-1-delta) <= eta <= N^(-1).  F acts on the complex normalized trace:
@@ -386,14 +398,9 @@ def green_trace_comparison(spec: EnsembleSpec, params: FlowParams, zs, f_kind,
                 f"eta in [{lo_eta:.3g}, {hi_eta:.3g}]"
             )
     take = np.imag if f_kind == "im" else np.real
-    diffs = np.array([
-        take(stieltjes_empirical(lamt, zs)) - take(stieltjes_empirical(lam0, zs))
-        for lam0, lamt in _coupled_flow_spectra(spec, params, trials, seed,
-                                                stream_base, threads)
+    traces = np.array([
+        [take(stieltjes_empirical(lam, zs)) for lam in spectra]
+        for spectra in _coupled_flow_spectra(spec, flows, trials, seed,
+                                             stream_base, threads)
     ])
-    se = (
-        diffs.std(axis=0, ddof=1) / math.sqrt(trials)
-        if trials > 1
-        else np.full(zs.shape, math.inf)
-    )
-    return GreenComparison(zs, diffs.mean(axis=0), se)
+    return [GreenComparison(zs, diff, se) for diff, se in _flow_differences(traces)]

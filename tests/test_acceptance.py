@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from rmtlab import statistics
 from rmtlab.acceptance import DEFAULT_SEED, AcceptanceSuite
 
 SCALE = float(os.environ.get("RMTLAB_ACCEPTANCE_SCALE", "1.0"))
@@ -64,6 +65,26 @@ def test_criterion_09_stability_inequality(suite):
 
 def test_criterion_10_flow_continuity(suite):
     _check(suite.criterion_flow_continuity())
+
+
+def test_criterion_10_samples_each_h0_once_for_all_three_times(monkeypatch):
+    passes, samples = [], []
+    compare, sample = statistics.chi_q_flow_comparison, statistics.sample_matrix
+
+    def counted_compare(spec, flows, *args, **kwargs):
+        passes.append([params.t for params in flows])
+        return compare(spec, flows, *args, **kwargs)
+
+    def counted_sample(*args):
+        samples.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(statistics, "chi_q_flow_comparison", counted_compare)
+    monkeypatch.setattr(statistics, "sample_matrix", counted_sample)
+    suite = AcceptanceSuite(seed=DEFAULT_SEED, threads=1, scale=0.01)
+    result = suite.criterion_flow_continuity()
+    assert passes == [[0.0, 1e-4, 1e-2]]
+    assert len(samples) == result.details["trials"]
 
 
 def test_criterion_11_determinism(suite):

@@ -282,6 +282,14 @@ def test_cli_rejects_config_fields_nothing_reads(tmp_path, capsys, config, messa
     assert_cli_exits_2(tmp_path, capsys, config, message)
 
 
+@pytest.mark.parametrize("experiment", FLOW_EXPERIMENTS)
+def test_cli_coupled_comparison_with_one_trial_exits_2(tmp_path, capsys, experiment):
+    # one trial has no standard error, and "se": Infinity is not JSON
+    assert_cli_exits_2(tmp_path, capsys, {
+        "experiment": experiment, "ensemble": ER, "flow": {"t": 0.01}, "trials": 1,
+    }, "a coupled comparison needs trials >= 2, got 1")
+
+
 @pytest.mark.parametrize("config, message", [
     ({"experiment": "spectrum", "ensemble": GOE, "seed": 1.5},
      "seed must be an integer"),
@@ -423,6 +431,7 @@ def valid_config(kind):
         cfg["stats"] = {"theta_sq": 0.25, "base": "sample"}
     if kind in FLOW_EXPERIMENTS:
         cfg["flow"] = {"t": 0.01}
+        cfg["trials"] = 2
     return cfg
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmtlab import statistics
 from rmtlab.ensembles import (
     EnsembleSpec,
     alternating_profile,
@@ -346,7 +347,7 @@ def flow(spec, t):
 def test_chi_q_flow_comparison_zero_time_is_exactly_zero():
     spec = EnsembleSpec(n=80, kind="erdos_renyi", q_exponent=0.4)
     cut = CutoffSpec.from_n_tau(80, 0.2)
-    cmp = chi_q_flow_comparison(spec, flow(spec, 0.0), 39, cut, 20, seed=11)
+    [cmp] = chi_q_flow_comparison(spec, [flow(spec, 0.0)], 39, cut, 20, seed=11)
     assert cmp.diff == 0.0
     assert cmp.e0 == cmp.et
 
@@ -354,7 +355,7 @@ def test_chi_q_flow_comparison_zero_time_is_exactly_zero():
 def test_chi_q_flow_comparison_small_t_drift():
     spec = EnsembleSpec(n=60, kind="erdos_renyi", q_exponent=0.4)
     cut = CutoffSpec.from_n_tau(60, 0.2)
-    cmp = chi_q_flow_comparison(spec, flow(spec, 1e-4), 29, cut, 60, seed=11)
+    [cmp] = chi_q_flow_comparison(spec, [flow(spec, 1e-4)], 29, cut, 60, seed=11)
     assert abs(cmp.diff) <= 5 * cmp.se + 0.05
 
 
@@ -363,14 +364,14 @@ def test_chi_q_flow_comparison_goe_is_stationary():
     # convention differs, but that is invisible to Q_i at this precision)
     spec = EnsembleSpec(n=150, kind="goe")
     cut = CutoffSpec.from_n_tau(150, 0.2)
-    cmp = chi_q_flow_comparison(spec, flow(spec, 0.5), 74, cut, 200, seed=314)
+    [cmp] = chi_q_flow_comparison(spec, [flow(spec, 0.5)], 74, cut, 200, seed=314)
     assert abs(cmp.diff) <= 3 * cmp.se
 
 
 def test_green_trace_comparison_zero_time_is_exactly_zero():
     spec = EnsembleSpec(n=100, kind="erdos_renyi", q_exponent=0.4)
     z = [0.0 + 1j / 100, 0.5 + 1j / 120]
-    cmp = green_trace_comparison(spec, flow(spec, 0.0), z, "im", 15, seed=12)
+    [cmp] = green_trace_comparison(spec, [flow(spec, 0.0)], z, "im", 15, seed=12)
     assert np.all(cmp.diff == 0.0)
 
 
@@ -379,7 +380,7 @@ def test_green_trace_comparison_scaling_bound():
     spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
     t = float(n) ** -0.9
     z = [0.0 + 1j / n]
-    cmp = green_trace_comparison(spec, flow(spec, t), z, "im", 60, seed=12)
+    [cmp] = green_trace_comparison(spec, [flow(spec, t)], z, "im", 60, seed=12)
     assert abs(cmp.diff[0]) <= 3 * cmp.se[0] + 0.1 * t * n
 
 
@@ -387,8 +388,8 @@ def test_green_trace_comparison_shrinks_with_t():
     n = 150
     spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
     z = [0.2 + 1j / n]
-    small = green_trace_comparison(spec, flow(spec, 1e-3), z, "im", 80, seed=13)
-    large = green_trace_comparison(spec, flow(spec, 1e-2), z, "im", 80, seed=13)
+    small, large = green_trace_comparison(
+        spec, [flow(spec, 1e-3), flow(spec, 1e-2)], z, "im", 80, seed=13)
     se = math.hypot(small.se[0], large.se[0])
     assert abs(small.diff[0]) <= abs(large.diff[0]) + 3 * se
 
@@ -396,21 +397,21 @@ def test_green_trace_comparison_shrinks_with_t():
 def test_green_trace_comparison_window_validation():
     spec = EnsembleSpec(n=100, kind="erdos_renyi", q_exponent=0.4)
     with pytest.raises(ValueError):
-        green_trace_comparison(spec, flow(spec, 0.1), [2.5 + 1j / 100], "im", 5, seed=1)
+        green_trace_comparison(spec, [flow(spec, 0.1)], [2.5 + 1j / 100], "im", 5, seed=1)
     with pytest.raises(ValueError):
-        green_trace_comparison(spec, flow(spec, 0.1), [0.0 + 0.5j], "im", 5, seed=1)
+        green_trace_comparison(spec, [flow(spec, 0.1)], [0.0 + 0.5j], "im", 5, seed=1)
     with pytest.raises(ValueError):
-        green_trace_comparison(spec, flow(spec, 0.1), [0.0 + 1j / 100], "abs", 5, seed=1)
+        green_trace_comparison(spec, [flow(spec, 0.1)], [0.0 + 1j / 100], "abs", 5, seed=1)
 
 
 def test_coupled_comparisons_reject_mismatched_flow():
     spec = EnsembleSpec(n=40, kind="goe")
     cut = CutoffSpec.from_n_tau(40, 0.2)
-    params = FlowParams(n=41, t=0.1)
+    flows = [FlowParams(n=40, t=0.1), FlowParams(n=41, t=0.1)]
     with pytest.raises(ValueError, match="does not match"):
-        chi_q_flow_comparison(spec, params, 19, cut, 3, seed=1)
+        chi_q_flow_comparison(spec, flows, 19, cut, 3, seed=1)
     with pytest.raises(ValueError, match="does not match"):
-        green_trace_comparison(spec, params, [0.0 + 1j / 40], "im", 3, seed=1)
+        green_trace_comparison(spec, flows, [0.0 + 1j / 40], "im", 3, seed=1)
 
 
 def test_chi_q_flow_comparison_follows_the_flow_profile():
@@ -420,11 +421,86 @@ def test_chi_q_flow_comparison_follows_the_flow_profile():
     spec = EnsembleSpec(n=n, kind="sparse_generic", q_exponent=0.4,
                         profile=alternating_profile(n, 0.2, 5.0))
     cut = CutoffSpec.from_n_tau(n, 0.2)
-    own = chi_q_flow_comparison(
-        spec, FlowParams(n=n, t=0.5, profile=spec.profile), 19, cut, 8, seed=2)
-    uniform = chi_q_flow_comparison(spec, flow(spec, 0.5), 19, cut, 8, seed=2)
+    own, uniform = chi_q_flow_comparison(
+        spec, [FlowParams(n=n, t=0.5, profile=spec.profile), flow(spec, 0.5)],
+        19, cut, 8, seed=2)
     assert own.e0 == uniform.e0
     assert own.et != uniform.et
+
+
+def test_one_multi_flow_call_equals_one_flow_calls():
+    spec = EnsembleSpec(n=60, kind="erdos_renyi", q_exponent=0.4)
+    cut = CutoffSpec.from_n_tau(60, 0.2)
+    flows = [flow(spec, t) for t in (0.0, 1e-3, 0.1)]
+    zs = [0.0 + 1j / 60, 0.4 + 1j / 70]
+    chi = chi_q_flow_comparison(spec, flows, 29, cut, 9, seed=5, stream_base=17,
+                                threads=2)
+    green = green_trace_comparison(spec, flows, zs, "re", 9, seed=5,
+                                   stream_base=17, threads=2)
+    assert len(chi) == len(green) == len(flows)
+    for params, c, g in zip(flows, chi, green):
+        [alone] = chi_q_flow_comparison(spec, [params], 29, cut, 9, seed=5,
+                                        stream_base=17)
+        assert vars(c) == vars(alone)
+        [alone] = green_trace_comparison(spec, [params], zs, "re", 9, seed=5,
+                                         stream_base=17)
+        for field in ("z", "diff", "se"):
+            assert getattr(g, field).tobytes() == getattr(alone, field).tobytes()
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``statistics.<name>``; returns the growing list."""
+    calls = []
+    original = getattr(statistics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(statistics, name, counted)
+    return calls
+
+
+COUPLED = {
+    "chi": lambda spec, flows, trials: chi_q_flow_comparison(
+        spec, flows, spec.n // 2, CutoffSpec.from_n_tau(spec.n, 0.2), trials, seed=3),
+    "green": lambda spec, flows, trials: green_trace_comparison(
+        spec, flows, [0.0 + 1j / spec.n], "im", trials, seed=3),
+}
+
+
+@pytest.mark.parametrize("comparison", sorted(COUPLED))
+def test_each_coupled_trial_samples_and_solves_h0_once(monkeypatch, comparison):
+    # t = 0 goes through evolve and its own solve like every other time
+    samples = counting(monkeypatch, "sample_matrix")
+    solves = counting(monkeypatch, "eigenvalues_of")
+    spec = EnsembleSpec(n=30, kind="erdos_renyi", q_exponent=0.4)
+    flows = [flow(spec, t) for t in (0.0, 1e-4, 1e-2)]
+    assert len(COUPLED[comparison](spec, flows, 5)) == len(flows)
+    assert len(samples) == 5
+    assert len(solves) == 5 * (1 + len(flows))
+
+
+@pytest.mark.parametrize("i", [-1, 300])
+def test_chi_q_flow_comparison_rejects_a_bad_index_before_sampling(monkeypatch, i):
+    samples = counting(monkeypatch, "sample_matrix")
+    spec = EnsembleSpec(n=300, kind="erdos_renyi", q_exponent=0.4)
+    with pytest.raises(ValueError, match="outside spectrum"):
+        chi_q_flow_comparison(spec, [flow(spec, 0.1)], i,
+                              CutoffSpec.from_n_tau(300, 0.2), 40, seed=1)
+    assert samples == []
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("comparison", sorted(COUPLED))
+def test_coupled_comparisons_need_two_trials_before_sampling(monkeypatch,
+                                                             comparison, trials):
+    # one trial has no standard error
+    samples = counting(monkeypatch, "sample_matrix")
+    spec = EnsembleSpec(n=30, kind="erdos_renyi", q_exponent=0.4)
+    with pytest.raises(ValueError, match="trials >= 2"):
+        COUPLED[comparison](spec, [flow(spec, 0.1)], trials)
+    assert samples == []
 
 
 # -- the trial pipeline --------------------------------------------------------
@@ -470,15 +546,17 @@ def test_sample_spectra_equals_the_serial_reference_loop(kind, n, trials, seed,
        t=st.floats(1e-4, 1.0))
 def test_coupled_comparisons_do_not_depend_on_thread_count(kind, n, trials, seed, t):
     spec = _PIPELINE_SPECS[kind](n)
-    params = FlowParams(n=n, t=t, profile=spec.profile, mean=spec.entry_mean)
+    flows = [FlowParams(n=n, t=time, profile=spec.profile, mean=spec.entry_mean)
+             for time in (t, t / 2)]
     cut = CutoffSpec.from_n_tau(n, 0.2)
     zs = [0.0 + 1j / n, 0.3 + 1j / n]
-    chi = [chi_q_flow_comparison(spec, params, n // 2 - 1, cut, trials, seed,
+    chi = [chi_q_flow_comparison(spec, flows, n // 2 - 1, cut, trials, seed,
                                  threads=threads)
            for threads in (1, 3)]
-    green = [green_trace_comparison(spec, params, zs, "im", trials, seed,
+    green = [green_trace_comparison(spec, flows, zs, "im", trials, seed,
                                     threads=threads)
              for threads in (1, 3)]
-    assert vars(chi[0]) == vars(chi[1])
-    for field in ("z", "diff", "se"):
-        assert getattr(green[0], field).tobytes() == getattr(green[1], field).tobytes()
+    assert [vars(c) for c in chi[0]] == [vars(c) for c in chi[1]]
+    for one, three in zip(*green):
+        for field in ("z", "diff", "se"):
+            assert getattr(one, field).tobytes() == getattr(three, field).tobytes()
