@@ -11,6 +11,7 @@ correlation criteria.
 tolerances never move.
 """
 
+import functools
 import math
 import shutil
 import tempfile
@@ -73,6 +74,27 @@ class CriterionResult:
         return f"[{self.number:2d}/11] {status} {self.name}: {summary} ({self.elapsed_s:.1f}s)"
 
 
+def _criterion(number, name, budget_s=None):
+    """Make a method returning ``(passed, details)`` a timed criterion.
+
+    The method returns its CriterionResult.  Under a runtime budget the wall
+    time must also stay within ``budget_s``: ``runtime_ok`` is appended to the
+    details and joins the pass.
+    """
+    def decorate(body):
+        @functools.wraps(body)
+        def criterion(self):
+            start = time.perf_counter()
+            passed, details = body(self)
+            elapsed = time.perf_counter() - start
+            if budget_s is not None:
+                details["runtime_ok"] = elapsed <= budget_s
+                passed = passed and details["runtime_ok"]
+            return CriterionResult(number, name, bool(passed), details, elapsed)
+        return criterion
+    return decorate
+
+
 class AcceptanceSuite:
     def __init__(self, seed=DEFAULT_SEED, threads=1, scale=1.0):
         if not 0 < scale < _BLOCK:
@@ -80,7 +102,6 @@ class AcceptanceSuite:
         self.seed = int(seed)
         self.threads = int(threads)
         self.scale = float(scale)
-        self._spectra_cache = {}
         streams = 4 * sum(self._flow_law_trials())  # the most of any purpose
         if streams > _BLOCK:
             raise ValueError(f"scale {scale}: criterion 6 reads {streams} > {_BLOCK} streams")
@@ -93,12 +114,8 @@ class AcceptanceSuite:
         return self._trials(10_000), self._trials(200)
 
     def _spectra(self, spec: EnsembleSpec, trials, base):
-        key = (spec.kind, spec.n, spec.q_exponent, trials, base)
-        if key not in self._spectra_cache:
-            self._spectra_cache[key] = stats.sample_spectra(
-                spec, trials, self.seed, stream_base=base, threads=self.threads
-            )
-        return self._spectra_cache[key]
+        return stats.sample_spectra(spec, trials, self.seed, stream_base=base,
+                                    threads=self.threads)
 
     def _flow_pair(self, spec, params, base):
         """H_t by ``evolve`` and by ``decompose_sample``, from independent H_0.
@@ -117,6 +134,7 @@ class AcceptanceSuite:
 
     # -- criterion 1 -------------------------------------------------------
 
+    @_criterion(1, "semicircle-law", budget_s=120.0)
     def criterion_semicircle(self):
         """Mean spectral CDF of the densest sparse ensemble vs the semicircle.
 
@@ -124,47 +142,33 @@ class AcceptanceSuite:
         the entry probability reaches 1 and the construction degenerates.
         The top eigenvalue (the rank-one mean outlier) is excluded.
         """
-        start = time.perf_counter()
         spec = EnsembleSpec(n=2000, kind="erdos_renyi", q_exponent=0.499)
         trials = self._trials(10, minimum=2)
         spectra = self._spectra(spec, trials, _BASE_SEMICIRCLE)
         pooled = np.concatenate([lam[:-1] for lam in spectra])
         ks = stats.ks_distance_to_cdf(pooled, semicircle_cdf)
-        elapsed = time.perf_counter() - start
-        runtime_ok = elapsed <= 120.0
-        return CriterionResult(
-            1, "semicircle-law", bool(ks <= 0.03 and runtime_ok),
-            {"ks": float(ks), "tol": 0.03, "trials": trials,
-             "runtime_ok": runtime_ok},
-            elapsed,
-        )
+        return ks <= 0.03, {"ks": float(ks), "tol": 0.03, "trials": trials}
 
     # -- criterion 2 -------------------------------------------------------
 
+    @_criterion(2, "local-law")
     def criterion_local_law(self):
         """|m_N - m_sc| <= 5 (1/q + 1/(N eta)) on a fixed grid, >= 95% of pairs."""
-        start = time.perf_counter()
         n = 1000
         spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
         trials = self._trials(20)
         es = [-1.0, -0.5, 0.0, 0.5, 1.0]
         etas = [n ** -0.9, n ** -0.5, 0.1]
         grid = np.array([e + 1j * eta for eta in etas for e in es])
-        spectra = stats.sample_spectra(spec, trials, self.seed,
-                                       stream_base=_BASE_LOCAL_LAW,
-                                       threads=self.threads)
         passed = np.array([local_law_deviation(lam, grid, spec.q).passed
-                           for lam in spectra])
+                           for lam in self._spectra(spec, trials, _BASE_LOCAL_LAW)])
         frac = float(passed.mean())
-        return CriterionResult(
-            2, "local-law", bool(frac >= 0.95),
-            {"pass_fraction": frac, "tol": 0.95,
-             "pairs": int(passed.size)},
-            time.perf_counter() - start,
-        )
+        return frac >= 0.95, {"pass_fraction": frac, "tol": 0.95,
+                              "pairs": int(passed.size)}
 
     # -- criteria 3 and 4 (shared N=1000 ensembles) -------------------------
 
+    @functools.cached_property
     def _universality_spectra(self):
         trials = self._trials(200)
         sparse = self._spectra(
@@ -176,27 +180,21 @@ class AcceptanceSuite:
         )
         return sparse, goe, trials
 
+    @_criterion(3, "gap-universality", budget_s=900.0)
     def criterion_gap_universality(self):
         """KS distance between sparse and GOE normalized bulk-gap samples."""
-        start = time.perf_counter()
-        sparse, goe, trials = self._universality_spectra()
+        sparse, goe, trials = self._universality_spectra
         kappa = 0.25
         gaps_sparse = np.concatenate([stats.bulk_gaps(s, kappa) for s in sparse])
         gaps_goe = np.concatenate([stats.bulk_gaps(s, kappa) for s in goe])
         ks = stats.ks_distance(gaps_sparse, gaps_goe)
-        elapsed = time.perf_counter() - start
-        runtime_ok = elapsed <= 900.0
-        return CriterionResult(
-            3, "gap-universality", bool(ks <= 0.02 and runtime_ok),
-            {"ks": float(ks), "tol": 0.02, "trials": trials,
-             "samples": int(gaps_sparse.size), "runtime_ok": runtime_ok},
-            elapsed,
-        )
+        return ks <= 0.02, {"ks": float(ks), "tol": 0.02, "trials": trials,
+                            "samples": int(gaps_sparse.size)}
 
+    @_criterion(4, "correlation-average")
     def criterion_correlation_average(self):
         """Window-averaged pair correlation estimator, sparse vs GOE."""
-        start = time.perf_counter()
-        sparse, goe, trials = self._universality_spectra()
+        sparse, goe, trials = self._universality_spectra
         n = 1000
         obs = stats.ObservableSpec(center=0.0, width=4.0)
         b = n ** -0.9
@@ -205,15 +203,12 @@ class AcceptanceSuite:
         diff = abs(est_s.value - est_g.value)
         se = math.hypot(est_s.se, est_g.se)
         tol = max(3.0 * se, 0.05)
-        return CriterionResult(
-            4, "correlation-average", bool(diff <= tol),
-            {"diff": float(diff), "tol": float(tol), "sparse": est_s.value,
-             "goe": est_g.value, "trials": trials},
-            time.perf_counter() - start,
-        )
+        return diff <= tol, {"diff": float(diff), "tol": float(tol), "sparse": est_s.value,
+                             "goe": est_g.value, "trials": trials}
 
     # -- criterion 5 -------------------------------------------------------
 
+    @_criterion(5, "level-repulsion")
     def criterion_level_repulsion(self):
         """P(normalized central gap <= 0.1) stays below 0.012 for both laws.
 
@@ -221,7 +216,6 @@ class AcceptanceSuite:
         so 0.012 leaves a 1.5x margin; the envelope N^(-tau/2) at tau = 0.2 is
         far looser.
         """
-        start = time.perf_counter()
         n = 500
         i = n // 2 - 1
         trials = self._trials(2000)
@@ -245,15 +239,12 @@ class AcceptanceSuite:
             and sparse.frequency <= envelope
             and goe.frequency <= envelope
         )
-        return CriterionResult(
-            5, "level-repulsion", bool(ok),
-            {"sparse_freq": sparse.frequency, "goe_freq": goe.frequency,
-             "tol": 0.012, "surmise_mass": surmise_mass, "trials": trials},
-            time.perf_counter() - start,
-        )
+        return ok, {"sparse_freq": sparse.frequency, "goe_freq": goe.frequency,
+                    "tol": 0.012, "surmise_mass": surmise_mass, "trials": trials}
 
     # -- criterion 6 -------------------------------------------------------
 
+    @_criterion(6, "flow-law-equivalence")
     def criterion_flow_law_equivalence(self):
         """The direct flow law and the Gaussian-divisible split agree.
 
@@ -261,7 +252,6 @@ class AcceptanceSuite:
         within 4 combined standard errors; pooled spectra from the two paths
         must match in KS distance.
         """
-        start = time.perf_counter()
         n, t = 200, 0.5
         spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
         params = FlowParams(n=n, t=t, mean=spec.entry_mean)
@@ -304,17 +294,14 @@ class AcceptanceSuite:
             np.concatenate([p[0] for p in pairs]),
             np.concatenate([p[1] for p in pairs]),
         )
-        ok = moments_ok and ks <= 0.02
-        return CriterionResult(
-            6, "flow-law-equivalence", bool(ok),
-            {"dmean_sigmas": dmean / se_mean if se_mean else 0.0,
-             "dvar_sigmas": dvar / se_var if se_var else 0.0,
-             "ks": float(ks), "ks_tol": 0.02, "trials": trials},
-            time.perf_counter() - start,
-        )
+        return moments_ok and ks <= 0.02, {
+            "dmean_sigmas": dmean / se_mean if se_mean else 0.0,
+            "dvar_sigmas": dvar / se_var if se_var else 0.0,
+            "ks": float(ks), "ks_tol": 0.02, "trials": trials}
 
     # -- criterion 7 -------------------------------------------------------
 
+    @_criterion(7, "free-convolution")
     def criterion_free_convolution(self):
         """Solver vs the scaled-semicircle closed form, plus the atom base.
 
@@ -325,7 +312,6 @@ class AcceptanceSuite:
         the iteration: an atom at 0 deforms to the radius-2theta semicircle
         with density 1/pi at 0 for theta = 1.
         """
-        start = time.perf_counter()
         inp = FreeConvInput(theta_sq=0.25)
         scale = math.sqrt(1.25)
         zs = np.linspace(-2.0, 2.0, 200) + 0.01j
@@ -335,16 +321,13 @@ class AcceptanceSuite:
         atom = FreeConvInput(theta_sq=1.0, eigenvalues=np.zeros(1))
         rho0 = density_from_stieltjes(atom, 0.0, 1e-6)
         atom_err = abs(rho0 - 1.0 / math.pi)
-        ok = worst <= 1e-8 and atom_err <= 1e-4
-        return CriterionResult(
-            7, "free-convolution", bool(ok),
-            {"max_dev": float(worst), "tol": 1e-8,
-             "atom_err": float(atom_err), "atom_tol": 1e-4},
-            time.perf_counter() - start,
-        )
+        return worst <= 1e-8 and atom_err <= 1e-4, {
+            "max_dev": float(worst), "tol": 1e-8,
+            "atom_err": float(atom_err), "atom_tol": 1e-4}
 
     # -- criterion 8 -------------------------------------------------------
 
+    @_criterion(8, "perturbation-formulas")
     def criterion_perturbation_formulas(self):
         """Closed-form eigenvalue derivatives vs finite differences.
 
@@ -353,7 +336,6 @@ class AcceptanceSuite:
         the leading eps^2 truncation term, and the base steps are large
         enough that eigensolver roundoff stays far below each tolerance.
         """
-        start = time.perf_counter()
         n = 50
         rng = derive_stream(self.seed, _BASE_PERTURB)
         spacings = 0.01 + 0.03 * rng.uniform(size=n - 1)
@@ -399,18 +381,14 @@ class AcceptanceSuite:
                 rel = abs(exact - fd) / max(abs(exact), abs(fd), 1e-12)
                 worst[order] = max(worst[order], rel)
         ok = all(worst[o] <= tol[o] for o in (1, 2, 3))
-        return CriterionResult(
-            8, "perturbation-formulas", bool(ok),
-            {"rel1": worst[1], "rel2": worst[2], "rel3": worst[3],
-             "triples": n_triples},
-            time.perf_counter() - start,
-        )
+        return ok, {"rel1": worst[1], "rel2": worst[2], "rel3": worst[3],
+                    "triples": n_triples}
 
     # -- criterion 9 -------------------------------------------------------
 
+    @_criterion(9, "stability-inequality")
     def criterion_stability_inequality(self):
         """|m_sc(z + dz) - m_sc(z)| <= 2 |dz|^(1/2), zero violations allowed."""
-        start = time.perf_counter()
         rng = derive_stream(self.seed, _BASE_STABILITY)
         n_pairs = 10_000
         e = -5.0 + 10.0 * rng.uniform(size=n_pairs)
@@ -424,18 +402,14 @@ class AcceptanceSuite:
         rhs = 2.0 * np.sqrt(np.abs(dz))
         violations = int(np.sum(lhs > rhs))
         margin = float((rhs - lhs).min())
-        return CriterionResult(
-            9, "stability-inequality", violations == 0,
-            {"violations": violations, "pairs": n_pairs,
-             "min_margin": margin},
-            time.perf_counter() - start,
-        )
+        return violations == 0, {"violations": violations, "pairs": n_pairs,
+                                 "min_margin": margin}
 
     # -- criterion 10 ------------------------------------------------------
 
+    @_criterion(10, "flow-continuity")
     def criterion_flow_continuity(self):
         """Coupled E[chi_M(Q_i)] differences shrink with t; exact zero at t=0."""
-        start = time.perf_counter()
         n = 200
         spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
         i = n // 2 - 1
@@ -447,18 +421,14 @@ class AcceptanceSuite:
             threads=self.threads)
         se = math.hypot(small.se, large.se)
         ok = at0.diff == 0.0 and abs(small.diff) <= abs(large.diff) + 3.0 * se
-        return CriterionResult(
-            10, "flow-continuity", bool(ok),
-            {"diff_t0": at0.diff, "diff_small": small.diff,
-             "diff_large": large.diff, "se": se, "trials": trials},
-            time.perf_counter() - start,
-        )
+        return ok, {"diff_t0": at0.diff, "diff_small": small.diff,
+                    "diff_large": large.diff, "se": se, "trials": trials}
 
     # -- criterion 11 ------------------------------------------------------
 
+    @_criterion(11, "determinism")
     def criterion_determinism(self):
         """Byte-identical artifacts for thread counts 1 and 4, every kind."""
-        start = time.perf_counter()
         configs = _determinism_configs(self.seed)
         mismatches = []
         scratch = Path(tempfile.mkdtemp(prefix="rmtlab-determinism-"))
@@ -478,11 +448,7 @@ class AcceptanceSuite:
                     mismatches.append(name)
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
-        return CriterionResult(
-            11, "determinism", not mismatches,
-            {"kinds": len(configs), "mismatches": str(mismatches)},
-            time.perf_counter() - start,
-        )
+        return not mismatches, {"kinds": len(configs), "mismatches": str(mismatches)}
 
     def all_criteria(self):
         return [

@@ -10,24 +10,11 @@ entries.  Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 import argparse
 import sys
 
-from .errors import (
-    AccuracyError,
-    BranchError,
-    DegenerateSpectrumError,
-    FixedPointError,
-    InfeasibleDecompositionError,
-    NumericalError,
-)
+from .errors import DegenerateSpectrumError, InfeasibleDecompositionError, NumericalError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run
 
-_NUMERICAL = (
-    NumericalError,
-    FixedPointError,
-    BranchError,
-    AccuracyError,
-    DegenerateSpectrumError,
-    InfeasibleDecompositionError,
-)
+# Checked before the invalid-configuration clause: the last two are ValueErrors.
+_NUMERICAL = (NumericalError, DegenerateSpectrumError, InfeasibleDecompositionError)
 
 
 def build_parser():

@@ -25,17 +25,13 @@ class InfeasibleDecompositionError(ValueError):
     """The Gaussian-divisible split has negative residual variance."""
 
 
-class FixedPointError(RuntimeError):
+class FixedPointError(NumericalError):
     """The self-consistent solver ran out of iterations."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class BranchError(RuntimeError):
+class BranchError(NumericalError):
     """The solver iterate left the upper half plane."""
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(NumericalError):
     """A numerically integrated quantity missed its mass/accuracy budget."""

@@ -28,12 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import statistics as stats
-from .ensembles import KINDS, EnsembleSpec, alternating_profile, sample_matrix
+from .ensembles import KINDS, EnsembleSpec, alternating_profile
+from .ensembles import sample_matrix  # noqa: F401  (rebound here by perfbench's tracer)
 from .flow import FlowParams
 from .free_conv import FreeConvInput, density_on_support, deviation_report
-from .rng import derive_stream
-from .rng import trial_map  # noqa: F401  (rebound here by perfbench's tracer)
-from .spectral import LOCAL_LAW_PREFACTOR, eigenvalues_of, local_law_deviation
+from .rng import derive_stream, trial_map  # noqa: F401  (rebound here by perfbench's tracer)
+from .spectral import LOCAL_LAW_PREFACTOR, local_law_deviation
+from .spectral import eigenvalues_of  # noqa: F401  (rebound here by perfbench's tracer)
 
 __all__ = [
     "ExperimentConfig",
@@ -434,7 +435,7 @@ def _run_flow_compare(cfg, r):
 def _run_free_conv(cfg, r):
     s = r.stats
     if s["base"] == "sample":
-        lam = eigenvalues_of(sample_matrix(r.spec, derive_stream(cfg.seed, 0)))
+        lam = _spectra(cfg, r)[0]
     else:
         lam = np.zeros(1) if s["base"] == "atom" else None
     inp = FreeConvInput(s["theta_sq"], eigenvalues=lam)

@@ -88,7 +88,8 @@ def derive_stream(master_seed, stream_index):
 def trial_map(fn, n_trials, threads=1):
     """Run ``fn(trial)`` for trial = 0..n_trials-1, returning results in trial order.
 
-    With threads > 1 the trials run on a thread pool, but the result list is
+    With threads > 1 the trials run on a thread pool (a lone trial runs
+    inline, where a pool would only add a thread), but the result list is
     always assembled by trial index, so downstream reductions see the same
     sequence no matter how the scheduler interleaved the work.  An exception
     propagates as the same object, type and payload intact, with the offending
@@ -104,7 +105,7 @@ def trial_map(fn, n_trials, threads=1):
             _attach_trial(exc, k)
             raise
 
-    if threads <= 1:
+    if min(threads, n_trials) <= 1:
         return [run_one(k) for k in range(n_trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run_one, range(n_trials)))

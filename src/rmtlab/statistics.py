@@ -328,6 +328,8 @@ def _coupled_flow_spectra(spec: EnsembleSpec, flows, trials, seed, stream_base,
     """
     if trials < 2:
         raise ValueError(f"a coupled comparison needs trials >= 2, got {trials}")
+    if not flows:
+        raise ValueError("a coupled comparison needs at least one flow")
     for params in flows:
         if params.n != spec.n:
             raise ValueError(f"flow n = {params.n} does not match ensemble n = {spec.n}")

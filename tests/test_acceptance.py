@@ -6,11 +6,13 @@ counts for smoke runs; tolerances never change.  The full suite takes a few
 minutes.
 """
 
+import itertools
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from rmtlab import statistics
+from rmtlab import acceptance, statistics
 from rmtlab.acceptance import DEFAULT_SEED, AcceptanceSuite
 
 SCALE = float(os.environ.get("RMTLAB_ACCEPTANCE_SCALE", "1.0"))
@@ -85,6 +87,21 @@ def test_criterion_10_samples_each_h0_once_for_all_three_times(monkeypatch):
     result = suite.criterion_flow_continuity()
     assert passes == [[0.0, 1e-4, 1e-2]]
     assert len(samples) == result.details["trials"]
+
+
+def test_a_criterion_over_its_runtime_budget_fails(monkeypatch):
+    # Each clock reading is 1000 s after the last, past criterion 3's 900 s
+    # budget; its KS gate is forced to pass, so only the budget can fail it.
+    ticks = itertools.count(0.0, 1000.0)
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    monkeypatch.setattr(statistics, "ks_distance", lambda a, b: 0.0)
+    suite = AcceptanceSuite(seed=DEFAULT_SEED, threads=1, scale=0.01)
+    gaps = suite.criterion_gap_universality()
+    assert gaps.details["runtime_ok"] is False
+    assert gaps.passed is False
+    stability = suite.criterion_stability_inequality()
+    assert "runtime_ok" not in stability.details
+    assert stability.passed is True
 
 
 def test_criterion_11_determinism(suite):

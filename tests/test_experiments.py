@@ -32,7 +32,14 @@ from rmtlab.experiments import (
     run,
 )
 from rmtlab.ensembles import EnsembleSpec
-from rmtlab.errors import NumericalError
+from rmtlab.errors import (
+    AccuracyError,
+    BranchError,
+    DegenerateSpectrumError,
+    FixedPointError,
+    InfeasibleDecompositionError,
+    NumericalError,
+)
 from rmtlab.rng import trial_map
 
 
@@ -517,9 +524,13 @@ def test_cli_missing_config_file_exits_2(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "absent.json")]) == 2
 
 
-def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [
+    NumericalError, FixedPointError, BranchError, AccuracyError,
+    DegenerateSpectrumError, InfeasibleDecompositionError,
+])
+def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch, error):
     def explode(config):
-        raise NumericalError("did not converge", residual=0.5)
+        raise error("did not converge")
 
     monkeypatch.setattr(cli, "run", explode)
     config = tmp_path / "cfg.json"
@@ -636,11 +647,15 @@ def test_goe_spectrum_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
 
 
 @needs_haswell_kernel
-@pytest.mark.parametrize("base", ["semicircle", "atom"])
-def test_free_conv_bytes_on_the_analytic_bases_do_not_depend_on_the_openblas_kernel(
+@pytest.mark.parametrize("base", ["semicircle", "atom", "goe-sample"])
+def test_free_conv_bytes_on_the_analytic_and_goe_bases_do_not_depend_on_the_openblas_kernel(
         tmp_path, base):
-    # These bases need no eigensolve, and the solver itself calls no BLAS.
+    # The analytic bases need no eigensolve, a sampled GOE base is a
+    # tridiagonal solve, and the solver itself calls no BLAS.
     config = {"experiment": "free-conv", "stats": {"theta_sq": 1.0, "base": base}}
+    if base == "goe-sample":
+        config["ensemble"] = {"n": 400, "kind": "goe"}
+        config["stats"]["base"] = "sample"
     default, haswell = _bytes_under_both_kernels(tmp_path, config, FREE_CONV_ARTIFACTS)
     assert default == haswell
 

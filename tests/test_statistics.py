@@ -404,14 +404,22 @@ def test_green_trace_comparison_window_validation():
         green_trace_comparison(spec, [flow(spec, 0.1)], [0.0 + 1j / 100], "abs", 5, seed=1)
 
 
-def test_coupled_comparisons_reject_mismatched_flow():
+@pytest.mark.parametrize("flows, message", [
+    ([FlowParams(n=40, t=0.1), FlowParams(n=41, t=0.1)], "does not match"),
+    ([], "at least one flow"),
+])
+def test_coupled_comparisons_reject_mismatched_flow(flows, message, monkeypatch):
+    samples = []
+    sample = statistics.sample_matrix
+    monkeypatch.setattr(statistics, "sample_matrix",
+                        lambda *args: samples.append(args) or sample(*args))
     spec = EnsembleSpec(n=40, kind="goe")
     cut = CutoffSpec.from_n_tau(40, 0.2)
-    flows = [FlowParams(n=40, t=0.1), FlowParams(n=41, t=0.1)]
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=message):
         chi_q_flow_comparison(spec, flows, 19, cut, 3, seed=1)
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=message):
         green_trace_comparison(spec, flows, [0.0 + 1j / 40], "im", 3, seed=1)
+    assert samples == []
 
 
 def test_chi_q_flow_comparison_follows_the_flow_profile():
