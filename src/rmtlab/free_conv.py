@@ -7,14 +7,20 @@ The deformed Stieltjes transform m_t solves the self-consistent equation
 where m_0 is either the empirical transform of an explicit eigenvalue list or
 the analytic semicircle transform.  Every point starts at m_sc(z/s)/s with
 s^2 = 1 + theta^2, the law of a semicircle base, and takes guarded Newton
-steps in a block of points.  One reciprocal pass q = 1/(lambda - w) gives
-m_0 = mean(q) and m_0' = mean(q^2).  A Newton step is taken where it is
-finite, stays in the upper half plane and lowers the residual, else the damped
-step m/2 + m_0/2.  A point usually certifies within about three evaluations,
+steps in a block of points, the first a Halley step where the start's
+evaluation gave m_0''.  A step is taken where it is finite, stays in the upper
+half plane and lowers the residual, else the damped step m/2 + m_0/2.  A point
+usually certifies within about three evaluations (2.5 after a Halley step),
 and on the semicircle base at the first.  Points that MAX_GUARDED steps leave
 unconverged start again at m_sc(z) for as many more, then go on with damped
 and plain Newton steps.  Every stage exits on the same certificate, residual
 at most 1e-12, and a point in a block gets the bits of a solve there alone.
+
+On a base of REAL_SUMS_MIN_N or more eigenvalues, m_0^(k) = k! mean(q^(k+1)),
+q = 1/(lambda - w), are real sums over d = lambda - x, r = 1/(d^2 + y^2) at
+w = x + iy: q = (d + iy) r, q^2 = r - 2y^2 r^2 + 2iy d r^2 and q^3 = d r^2 -
+4y^2 d r^3 + i(3y r^2 - 4y^3 r^3).  Only such a base takes the Halley step; a
+shorter one, and theta^2 = 0, sum m_0 and m_0' in one complex pass.
 
 Densities come from Stieltjes inversion, rho_t(E) = Im m_t(E + i eta)/pi, and
 classical locations from quantiles of the numerically integrated density.
@@ -46,10 +52,12 @@ MAX_FIXED_POINT = 200
 MAX_NEWTON = 100
 DEFAULT_INVERSION_ETA = 1e-4
 MASS_DEFICIT_TOL = 1e-3
-# Points per fixed-point block are chosen so that one m0 call's
-# (points x eigenvalues) complex work arrays stay near 1 MiB: wider blocks
-# leave the cache and gain less.
+# Points per block: one m0 call's (points x eigenvalues) work, at 16 bytes a
+# pair, stays near 1 MiB; wider blocks leave the cache and gain less.
 BLOCK_BYTES = 1 << 20
+# Shorter bases keep the complex pass: on short rows the real sums' extra
+# numpy calls per evaluation cost more than their cheaper arithmetic saves.
+REAL_SUMS_MIN_N = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +83,47 @@ class FreeConvInput:
             object.__setattr__(self, "eigenvalues", np.sort(lam))
 
     def m0(self, w):
-        """(m_0, m_0') at each point of a 1-d array w.  On an eigenvalue base
-        both come from one reciprocal pass q = 1/(lambda - w): m_0 is the mean
-        of q and m_0' the mean of q^2, summed without forming q^2."""
+        """(m_0, m_0') at each point of a 1-d array w."""
         if self.eigenvalues is None:
             m = m_sc(w)
             return m, m * m / (1.0 - m * m)
+        if self.real_sums:
+            return self._real_moments(w, 1)
         q = self.eigenvalues - w[:, None]
         np.divide(1.0, q, out=q)
         n = self.eigenvalues.size
         return q.sum(axis=-1) / n, np.einsum("ij,ij->i", q, q) / n
+
+    def m0_jet(self, w):
+        """(m_0, m_0', m_0'') from the real sums, for a solve's Halley start."""
+        return self._real_moments(w, 2)
+
+    @property
+    def real_sums(self):
+        """Whether m0 takes real sums: theta^2 > 0, REAL_SUMS_MIN_N eigenvalues."""
+        return (self.theta_sq > 0.0 and self.eigenvalues is not None
+                and self.eigenvalues.size >= REAL_SUMS_MIN_N)
+
+    def _real_moments(self, w, order):
+        # Row reductions, never BLAS, which can sum a row of a block in
+        # another order than the row alone; d r and r share one buffer.
+        lam, n, y = self.eigenvalues, self.eigenvalues.size, w.imag
+        d, r = dr = np.empty((2, w.size, n))
+        np.subtract(lam, w.real[:, None], out=d)
+        np.multiply(d, d, out=r)
+        r += (y * y)[:, None]
+        np.divide(1.0, r, out=r)
+        d *= r
+        (s_d, s_r), (s_drr, s_rr) = dr.sum(axis=-1), np.einsum("kij,ij->ki", dr, r)
+        out = np.empty((order + 1, w.size), dtype=complex)
+        out.real[0], out.imag[0] = s_d, y * s_r
+        out.real[1], out.imag[1] = s_r - 2.0 * y * y * s_rr, 2.0 * y * s_drr
+        if order == 2:
+            s_drrr, s_rrr = np.einsum("kij,ij->ki", dr, r * r)
+            out.real[2] = 2.0 * (s_drr - 4.0 * y * y * s_drrr)
+            out.imag[2] = 2.0 * y * (3.0 * s_rr - 4.0 * y * y * s_rrr)
+        out /= n
+        return tuple(out)
 
     def support_window(self):
         """Window certain to contain the support of the deformed density."""
@@ -122,7 +161,7 @@ def _solve_block(z, inp):
         return inp.m0(z)[0]
 
     # Each evaluation gives f = m0(w) and fp = m0'(w) at w = z + v m, so
-    # F = m - f is the residual of m and 1 - v fp its derivative.  A point
+    # F = m - f is the residual of m and F' = 1 - v fp its derivative.  A point
     # leaves the block once |F| <= tol, or once a Newton iterate leaves the
     # upper half plane; the step rules take their turns under their budgets.
     rules = ([_guarded_step] * MAX_GUARDED + [_restart_step] + [_guarded_step] * MAX_GUARDED
@@ -131,7 +170,7 @@ def _solve_block(z, inp):
     m = m_sc(z / s) / s
     out = np.empty_like(m)
     active, za = np.arange(z.size), z
-    f, fp = inp.m0(za + v * m)
+    f, fp, *fpp = (inp.m0_jet if inp.real_sums else inp.m0)(za + v * m)
     for step in range(len(rules) + 1):
         res = _modulus(m - f)
         done = (res <= RESIDUAL_TOL) | (m.imag < 0)
@@ -140,6 +179,11 @@ def _solve_block(z, inp):
         active, za, m, f, fp, res = (x[keep] for x in (active, za, m, f, fp, res))
         if active.size == 0 or step == len(rules):
             break
+        if step == 0 and fpp:
+            # The slope F' + v^2 F m0''/(2F') makes the first guarded step's
+            # Newton candidate the Halley step m - 2FF'/(2F'^2 + v^2 F m0'').
+            with np.errstate(all="ignore"):
+                fp = fp - 0.5 * v * (m - f) * fpp[0][keep] / (1.0 - v * fp)
         m, f, fp = rules[step](za, m, f, fp, res, inp)
     out[active] = m
 
@@ -150,9 +194,8 @@ def _solve_block(z, inp):
     if failed.any():
         k = int(np.argmax(failed))
         if out[k].imag < 0:
-            raise BranchError(
-                f"Newton iterate left the upper half plane at z = {complex(z[k])}"
-            )
+            raise BranchError(f"Newton iterate left the upper half plane at "
+                              f"z = {complex(z[k])}")
         r = float(res[np.searchsorted(active, k)])
         raise FixedPointError(f"no convergence at z = {complex(z[k])}: residual {r:.3e}",
                               residual=r)
@@ -235,10 +278,8 @@ class DensityProfile:
         if np.any(self.rho < 0):
             raise ValueError("density values must be nonnegative")
         if 1.0 - self.mass() > MASS_DEFICIT_TOL:
-            raise AccuracyError(
-                f"density mass {self.mass():.6f} misses more than "
-                f"{MASS_DEFICIT_TOL} of the total"
-            )
+            raise AccuracyError(f"density mass {self.mass():.6f} misses more than "
+                                f"{MASS_DEFICIT_TOL} of the total")
 
     def mass(self):
         return float(np.trapezoid(self.rho, self.grid))

@@ -86,34 +86,63 @@ def damped_oracle_m_t(z, inp, tol=RESIDUAL_TOL):
 
 def reference_solve_m_t(z, inp):
     """The block solver one point at a time: returns (m_t(z), the stage that
-    certified it: "guarded", "restarted", "damped" or "newton")."""
+    certified it: "start", "halley", "guarded", "restarted", "damped" or
+    "newton")."""
     lam, v, tol = inp.eigenvalues, inp.theta_sq, free_conv.RESIDUAL_TOL
 
-    def m0_and_prime(w):
-        # on one-element arrays, as the block solver evaluates a lone point
+    def moments(w, order=1):
+        # m0 and its first order derivatives on one-element arrays, as the
+        # block solver evaluates a lone point: the complex pass q = 1/(lam - w)
+        # for m0 and m0' at theta^2 = 0 and on a short base, else real sums
+        # over d = lam - x and r = 1/(d^2 + y^2) at w = x + iy
         w = np.array([w])
         if lam is None:
             m = m_sc(w)
             return m[0], (m * m / (1.0 - m * m))[0]
-        q = 1.0 / (lam - w[:, None])
-        return (q.sum(axis=-1) / lam.size)[0], (np.einsum("ij,ij->i", q, q) / lam.size)[0]
+        n, y = lam.size, w.imag
+        if v == 0.0 or n < free_conv.REAL_SUMS_MIN_N:
+            q = 1.0 / (lam - w[:, None])
+            return (q.sum(axis=-1) / n)[0], (np.einsum("ij,ij->i", q, q) / n)[0]
+        d = lam - w.real[:, None]
+        r = 1.0 / (d * d + (y * y)[:, None])
+        dr = d * r
+        s_d, s_r = dr.sum(axis=-1), r.sum(axis=-1)
+        s_drr, s_rr = np.einsum("ij,ij->i", dr, r), np.einsum("ij,ij->i", r, r)
+        m0 = (s_d + 1j * (y * s_r)) / n
+        mp = ((s_r - 2.0 * y * y * s_rr) + 1j * (2.0 * y * s_drr)) / n
+        if order == 1:
+            return m0[0], mp[0]
+        s_drrr, s_rrr = np.einsum("ij,ij->i", dr, r * r), np.einsum("ij,ij->i", r, r * r)
+        mpp = (2.0 * (s_drr - 4.0 * y * y * s_drrr)
+               + 1j * (2.0 * y * (3.0 * s_rr - 4.0 * y * y * s_rrr))) / n
+        return m0[0], mp[0], mpp[0]
 
     def newton(m, f, fp):
         with np.errstate(all="ignore"):
             return m - (m - f) / (1.0 - v * fp)
 
-    # numpy scalars throughout: a complex product or quotient of two numpy
-    # values rounds as the block solver's array arithmetic does, one of two
-    # Python complex values need not
+    # numpy scalars: a complex quotient of two numpy values rounds as the block
+    # solver's array arithmetic does, one of two Python complex values need
+    # not; a product of two complex values is taken on one-element arrays,
+    # since numpy's scalar product can round differently from its array one
     z = np.complex128(z)
     if v == 0.0:
-        return complex(m0_and_prime(z)[0]), "guarded"
+        return complex(moments(z)[0]), "start"
+    real_sums = lam is not None and lam.size >= free_conv.REAL_SUMS_MIN_N
     guarded = free_conv.MAX_GUARDED
-    stages = (["guarded"] * guarded + ["restarted"] * (1 + guarded)
+    stages = (["halley" if real_sums else "guarded"] + ["guarded"] * (guarded - 1)
+              + ["restarted"] * (1 + guarded)
               + ["damped"] * MAX_FIXED_POINT + ["newton"] * MAX_NEWTON)
     s = np.sqrt(1.0 + v)
-    stage, m = "guarded", (m_sc(np.array([z]) / s) / s)[0]
-    f, fp = m0_and_prime(z + v * m)
+    stage, m = "start", (m_sc(np.array([z]) / s) / s)[0]
+    if real_sums:
+        f, fp, fpp = moments(z + v * m, 2)
+        # the slope that turns the first guarded step's Newton candidate into
+        # the Halley step
+        with np.errstate(all="ignore"):
+            fp = (fp - 0.5 * v * (m - f) * np.array([fpp]) / (1.0 - v * fp))[0]
+    else:
+        f, fp = moments(z + v * m)
     for step in range(len(stages) + 1):
         if m.imag < 0:
             raise BranchError("Newton iterate left the upper half plane")
@@ -125,10 +154,10 @@ def reference_solve_m_t(z, inp):
         stage = stages[step]
         if step == guarded:
             m = m_sc(np.array([z]))[0]
-        elif stage in ("guarded", "restarted"):
+        elif stage in ("halley", "guarded", "restarted"):
             c = newton(m, f, fp)
             if np.isfinite(c) and c.imag > 0:
-                fc, fpc = m0_and_prime(z + v * c)
+                fc, fpc = moments(z + v * c)
                 if abs(c - fc) < res:
                     m, f, fp = c, fc, fpc
                     continue
@@ -138,7 +167,7 @@ def reference_solve_m_t(z, inp):
         else:
             c = newton(m, f, fp)
             m = c if np.isfinite(c) else m
-        f, fp = m0_and_prime(z + v * m)
+        f, fp = moments(z + v * m)
 
 
 def bits(values):
@@ -179,8 +208,11 @@ def sample_spectrum(n, kind, seed=59):
 
 # One point certified in each stage of the block loop.  The semicircle base
 # starts at its exact law and certifies before any step, so every case has an
-# eigenvalue base.
+# eigenvalue base.  Only a base long enough for the real sums takes the Halley
+# step, which certifies where the start is already close to the law: here
+# outside the support of a 300-eigenvalue ER base.
 STAGE_CASES = {
+    "halley": (0.25, sample_spectrum(300, "erdos_renyi"), -3.0 + 1e-4j),
     "guarded": (NEWTON_THETA_SQ, NEWTON_BASE, 0.3 + 0.05j),
     "restarted": (NEWTON_THETA_SQ, NEWTON_BASE, -3.815 + 1e-5j),
     "damped": (NEWTON_THETA_SQ, NEWTON_BASE, -3.871 + 1e-5j),
@@ -245,13 +277,18 @@ def test_guarded_newton_stays_in_the_upper_half_plane(kind, theta_sq, eta):
 
 
 def counting_input(theta_sq, eigenvalues=None):
-    """A FreeConvInput and the list of point counts of its m0 calls."""
+    """A FreeConvInput and the list of point counts of its evaluations: the
+    m0 calls and the start's m0_jet calls."""
     calls = []
 
     class CountingInput(FreeConvInput):
         def m0(self, w):
             calls.append(w.size)
             return super().m0(w)
+
+        def m0_jet(self, w):
+            calls.append(w.size)
+            return super().m0_jet(w)
 
     return CountingInput(theta_sq, eigenvalues=eigenvalues), calls
 
@@ -331,6 +368,9 @@ def test_restart_certifies_a_point_the_first_start_leaves_past_the_fold():
 # one atom: a one-point solve works on one-element arrays, which numpy can
 # round differently from longer ones
 @example(base=[-1.6], theta_sq=0.1, eta=1e-4, energies=[-1.0, -2.2, 2.0], block_points=2)
+# a base long enough for the real sums
+@example(base=list(sample_spectrum(300, "erdos_renyi")), theta_sq=0.25, eta=1e-4,
+         energies=[-2.6, -2.0, -0.3, 0.0, 1.9, 2.6], block_points=2)
 def test_block_solver_matches_the_point_solver_bit_for_bit(base, theta_sq, eta,
                                                            energies, block_points):
     inp = FreeConvInput(theta_sq, eigenvalues=np.array(base))
@@ -342,6 +382,26 @@ def test_block_solver_matches_the_point_solver_bit_for_bit(base, theta_sq, eta,
         got = solve_m_t(z, inp)
     assert bits(got) == bits(expected)
     assert bits([solve_m_t(zk, inp) for zk in z]) == bits(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 700), points=st.integers(2, 140),
+       theta_sq=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=500, points=131, theta_sq=0.5, seed=7)
+@example(n=2, points=131, theta_sq=0.5, seed=7)
+def test_m0_gives_each_point_of_a_block_the_bits_of_a_lone_call(n, points, theta_sq,
+                                                                seed):
+    # Every sum is a row reduction; a BLAS row sum such as r @ ones can add a
+    # row of a block in another order than the same row alone.
+    rng = np.random.default_rng(seed)
+    inp = FreeConvInput(theta_sq, eigenvalues=rng.normal(size=n))
+    w = rng.uniform(-3.0, 3.0, points) + 1j * 10.0 ** rng.uniform(-6.0, 0.0, points)
+    # a solve evaluates m0_jet only at theta^2 > 0
+    for evaluate in (inp.m0, inp.m0_jet) if theta_sq > 0 else (inp.m0,):
+        block = evaluate(w)
+        lone = [evaluate(w[k:k + 1]) for k in range(points)]
+        for j, values in enumerate(block):
+            assert bits(values) == bits([one[j][0] for one in lone])
 
 
 def test_block_convergence_test_reads_the_modulus_of_one_value():
@@ -652,11 +712,12 @@ def test_grid_callers_reject_a_nan_energy_or_eta():
 
 
 def test_array_solve_raises_the_first_failing_points_error(monkeypatch):
-    # tol = 0 cannot be certified at 0.3 + 0.05i (at many points it can: a
-    # Newton step may leave residual exactly 0), so that first point fails in
-    # the Newton stage
+    # tol = 0 cannot be certified at 0.3 + 0.05i or at 0.5 + 0.05i (at many
+    # points it can: a Newton step may leave residual exactly 0, as it does at
+    # NEWTON_Z), so both fail in the Newton stage, in one block, and the first
+    # of them raises
     monkeypatch.setattr(free_conv, "RESIDUAL_TOL", 0.0)
     inp = FreeConvInput(NEWTON_THETA_SQ, eigenvalues=np.array(NEWTON_BASE))
     with pytest.raises(FixedPointError, match=r"z = \(0\.3\+0\.05j\)") as err:
-        solve_m_t(np.array([0.3 + 0.05j, NEWTON_Z]), inp)
+        solve_m_t(np.array([0.3 + 0.05j, NEWTON_Z, 0.5 + 0.05j]), inp)
     assert err.value.residual > 0
