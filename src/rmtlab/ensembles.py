@@ -167,6 +167,15 @@ def _goe_weight(n):
     return w
 
 
+@functools.cache
+def _goe_sd(n):
+    """The GOE entry standard deviation sqrt((2/n) (1 + delta_ij)/2) in packed
+    order; cached, read-only."""
+    sd = np.sqrt((2.0 / n) * _goe_weight(n))
+    sd.flags.writeable = False
+    return sd
+
+
 def _upper_profile(profile, n):
     """s_ij in packed order; the uniform profile (None) is the scalar 1/n."""
     return 1.0 / n if profile is None else profile[_upper_mask(n)]
@@ -185,8 +194,8 @@ def sample_goe(n, rng: RngStream):
     """GOE matrix: off-diagonal N(0, 1/n), diagonal N(0, 2/n)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    w = _goe_weight(n)
-    return _symmetric_from_upper(n, rng.gaussian(0.0, (2.0 / n) * w, size=w.size))
+    sd = _goe_sd(n)
+    return _symmetric_from_upper(n, rng._normal(0.0, sd, sd.size))
 
 
 @dataclass(frozen=True, eq=False)

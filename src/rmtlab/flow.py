@@ -17,8 +17,14 @@ with G an independent GOE, r = min_{i<=j} n s_ij, and H_t^(1) the decayed
 initial matrix plus the residual (entrywise) Gaussian noise.  The residual
 variance on the diagonal carries the GOE weight (1+delta_ij)/2 and can only
 vanish, never go negative, when r is the exact profile minimum.
+
+Everything that depends only on the parameters (the decay factor, both noise
+standard deviations, r and theta_t) is computed once per ``FlowParams``, on
+first use, and kept for that object's life; a trial only draws, scales, adds
+and fills.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,16 +72,63 @@ class FlowParams:
             problems = _profile_errors(self.profile, self.n)
             if problems:
                 raise ValueError("; ".join(problems))
-            object.__setattr__(self, "profile", np.asarray(self.profile, dtype=float))
+            # A read-only copy: the cached coefficients below must not go
+            # stale when the caller edits its own array.
+            profile = np.array(self.profile, dtype=float)
+            profile.flags.writeable = False
+            object.__setattr__(self, "profile", profile)
 
-    @property
+    @functools.cached_property
     def r(self):
         """min over i <= j of n s_ij."""
         return float(self.n * np.min(_upper_profile(self.profile, self.n)))
 
-    @property
+    @functools.cached_property
     def theta(self):
         return theta_t(self.t, self.r)
+
+    @functools.cached_property
+    def _decay(self):
+        """exp(-t/(2 n s_ij)) in packed order (a scalar for the uniform profile)."""
+        s = _upper_profile(self.profile, self.n)
+        return _read_only(np.exp(-self.t / (2.0 * self.n * s)))
+
+    @functools.cached_property
+    def _evolve_sd(self):
+        """sqrt(s_ij (1 - e^{-t/(n s_ij)})): the sd of ``evolve``'s noise."""
+        return _read_only(np.sqrt(self._noise_var()))
+
+    @functools.cached_property
+    def _residual_sd(self):
+        """The sd of ``decompose_sample``'s residual noise.
+
+        The residual variance s_ij (1-e^{-t/(n s_ij)}) - (1+delta_ij)/(2n)
+        r (1-e^{-t/r}) is nonnegative because r is the profile minimum; should
+        rounding ever drive it below -1e-12 max s_ij, this raises
+        InfeasibleDecompositionError instead of clipping silently.  A raise is
+        not cached, so every call that needs the coefficient raises again.
+        """
+        n, r = self.n, self.r
+        resid_var = self._noise_var() - _goe_weight(n) * (r / n) * -np.expm1(-self.t / r)
+        tol = 1e-12 * float(np.max(_upper_profile(self.profile, n)))
+        if resid_var.min() < -tol:
+            raise InfeasibleDecompositionError(
+                f"negative residual variance {resid_var.min():.3e}: "
+                f"r = {r:.6g} is too large for the profile"
+            )
+        return _read_only(np.sqrt(np.clip(resid_var, 0.0, None)))
+
+    def _noise_var(self):
+        """s_ij (1 - e^{-t/(n s_ij)}): the variance the flow injects by time t."""
+        s = _upper_profile(self.profile, self.n)
+        return s * -np.expm1(-self.t / (self.n * s))
+
+
+def _read_only(coef):
+    """``coef`` with its array (if it is one) locked: trial threads share it."""
+    if isinstance(coef, np.ndarray):
+        coef.flags.writeable = False
+    return coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +141,14 @@ class FlowSample:
     theta: float
 
 
-def _flow_kernel(h0, params: FlowParams, s, variance, rng: RngStream):
-    """f + exp(-t/(2 n s_ij)) (h0_ij - f) + Normal(0, variance) on the upper
-    triangle (with packed profile values ``s``), filled symmetric."""
+def _flow_kernel(h0, params: FlowParams, sd, rng: RngStream):
+    """f + exp(-t/(2 n s_ij)) (h0_ij - f) + sd_ij Normal(0, 1) on the upper
+    triangle, filled symmetric."""
     vals = h0[_upper_mask(params.n)]
     vals -= params.mean
-    vals *= np.exp(-params.t / (2.0 * params.n * s))
+    vals *= params._decay
     vals += params.mean
-    vals += rng.gaussian(0.0, variance, size=vals.size)
+    vals += rng._normal(0.0, sd, vals.size)
     return _symmetric_from_upper(params.n, vals)
 
 
@@ -106,42 +159,25 @@ def evolve(h0, params: FlowParams, rng: RngStream):
         raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
     if params.t == 0:
         return h0.copy()
-    s = _upper_profile(params.profile, n)
-    noise_var = s * -np.expm1(-params.t / (n * s))
-    return _flow_kernel(h0, params, s, noise_var, rng)
+    return _flow_kernel(h0, params, params._evolve_sd, rng)
 
 
 def decompose_sample(h0, params: FlowParams, rng: RngStream):
     """Sample the pair (H_t^(1), G) and assemble H_t = H_t^(1) + theta_t G.
 
-    The residual entry variance s_ij (1-e^{-t/(n s_ij)}) - (1+delta_ij)/(2n)
-    r (1-e^{-t/r}) is nonnegative because r is the profile minimum; should
-    rounding ever drive it below -1e-12 max s_ij, the split raises
-    InfeasibleDecompositionError instead of clipping silently.
+    Raises InfeasibleDecompositionError when r is too large for the profile
+    (see ``FlowParams._residual_sd``).
     """
     n = params.n
     if h0.shape != (n, n):
         raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
-    s = _upper_profile(params.profile, n)
-    r = params.r
-    resid_var = (s * -np.expm1(-params.t / (n * s))
-                 - _goe_weight(n) * (r / n) * -np.expm1(-params.t / r))
-    tol = 1e-12 * float(np.max(s))
-    if resid_var.min() < -tol:
-        raise InfeasibleDecompositionError(
-            f"negative residual variance {resid_var.min():.3e}: "
-            f"r = {r:.6g} is too large for the profile"
-        )
-    resid_var = np.clip(resid_var, 0.0, None)
-
     # The residual noise is drawn at t = 0 too, so the GOE part always reads
     # the same stretch of the stream.
-    h1 = _flow_kernel(h0, params, s, resid_var, rng)
+    h1 = _flow_kernel(h0, params, params._residual_sd, rng)
     if params.t == 0:
         h1 = h0.copy()
 
-    theta = theta_t(params.t, r)
     goe = sample_goe(n, rng)
-    h_t = theta * goe
+    h_t = params.theta * goe
     h_t += h1
-    return FlowSample(h_t, h1, goe, theta)
+    return FlowSample(h_t, h1, goe, params.theta)

@@ -5,8 +5,13 @@ Streams are backed by the counter-based Philox generator, so stream ``k`` is
 derived arithmetically from its address: no jump-ahead, no dependence on which
 worker thread ends up running trial ``k``.
 
-Gaussians are produced by inverse-CDF transform of fixed-width uniforms rather
-than a rejection sampler, so a request for ``m`` values always consumes exactly
+A uniform is read straight off the stream's next raw 64-bit Philox word w as
+((w >> 12) + 0.5) 2**-52: its top 52 bits, centred in their cell.  That is
+bit for bit ``Generator.integers(0, 2**52)`` plus one half, scaled, since
+Lemire's bounded-integer method never rejects a power-of-two range.
+
+Gaussians are produced by inverse-CDF transform of these uniforms rather than
+a rejection sampler, so a request for ``m`` values always consumes exactly
 ``m`` uniforms from the stream.
 """
 
@@ -21,6 +26,7 @@ _U64 = 1 << 64
 # 52-bit uniforms: (k + 0.5) is exactly representable for k < 2**52, so the
 # mapped value lies strictly inside (0, 1) and ndtri never sees 0 or 1.
 _UNIFORM_BITS = 52
+_UNIFORM_SHIFT = 64 - _UNIFORM_BITS
 _UNIFORM_SCALE = 2.0 ** -_UNIFORM_BITS
 
 
@@ -42,16 +48,19 @@ class RngStream:
             raise ValueError(f"stream_index must be a u64, got {stream_index}")
         self.master_seed = master_seed
         self.stream_index = stream_index
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([master_seed, stream_index], dtype=np.uint64))
-        )
+        self._bits = np.random.Philox(
+            key=np.array([master_seed, stream_index], dtype=np.uint64))
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
     def uniform(self, size=None):
         """Uniforms strictly inside (0, 1), one 64-bit word per value."""
-        u = self._gen.integers(0, 1 << _UNIFORM_BITS, size=size, dtype=np.int64) + 0.5
+        w = self._bits.random_raw(size)
+        if size is None:
+            return np.float64(((w >> _UNIFORM_SHIFT) + 0.5) * _UNIFORM_SCALE)
+        w >>= _UNIFORM_SHIFT
+        u = w.view(np.int64) + 0.5
         u *= _UNIFORM_SCALE
         return u
 
@@ -64,8 +73,15 @@ class RngStream:
         variance = np.asarray(variance, dtype=float)
         if np.any(variance < 0.0):
             raise ValueError("variance must be nonnegative")
+        return self._normal(mean, np.sqrt(variance), size)
+
+    def _normal(self, mean, sd, size):
+        """mean + sd * ndtri(uniform) for an sd the caller already checked
+        (nonnegative, broadcast against ``size``).  The mean goes on after the
+        scaling, so a zero sd gives exactly the mean: +0.0, not ndtri's sign,
+        for a mean of 0.0."""
         x = ndtri(self.uniform(size))
-        x *= np.sqrt(variance)
+        x *= sd
         x += mean
         return x
 

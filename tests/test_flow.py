@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from rmtlab.ensembles import EnsembleSpec, alternating_profile, sample_matrix, upper_triangle
+from rmtlab.errors import InfeasibleDecompositionError
 from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
-from rmtlab.rng import derive_stream
+from rmtlab.rng import derive_stream, trial_map
 from rmtlab.spectral import eigenvalues_of
 from rmtlab.statistics import ks_distance
 
@@ -257,3 +260,63 @@ def test_in_place_flow_gives_the_bytes_of_the_fancy_index_formula(spec, t):
     for got, want in ((fs.h_t, h_t), (fs.h_t1, h1), (fs.goe_part, goe)):
         assert got.tobytes() == want.tobytes()
     assert fs.h_t.tobytes() == (fs.h_t1 + fs.theta * fs.goe_part).tobytes()
+
+
+def test_infeasible_split_raises_on_every_call(monkeypatch):
+    # r above n min s_ij = 0.8 drives the residual variance of the 0.8/n
+    # diagonal negative; the coefficient is never cached, so both calls raise
+    n = 12
+    spec = EnsembleSpec(n=n, kind="sparse_generic", profile=alternating_profile(n, 0.8, 1.2))
+    params = FlowParams(n=n, t=0.5, profile=spec.profile)
+    h0 = sample_matrix(spec, derive_stream(8, 0))
+    monkeypatch.setattr(FlowParams, "r", property(lambda self: 1.0))
+    for _ in range(2):
+        with pytest.raises(InfeasibleDecompositionError, match="negative residual variance"):
+            decompose_sample(h0, params, derive_stream(8, 1))
+
+
+def _flow_bytes(h0, params):
+    fs = decompose_sample(h0, params, derive_stream(9, 2))
+    return [evolve(h0, params, derive_stream(9, 1)).tobytes(),
+            fs.h_t.tobytes(), fs.h_t1.tobytes(), fs.goe_part.tobytes()]
+
+
+def test_editing_the_callers_profile_leaves_the_flow_bytes_alone():
+    n = 12
+    profile = alternating_profile(n, 0.8, 1.2)
+    spec = EnsembleSpec(n=n, kind="sparse_generic", profile=profile.copy())
+    h0 = sample_matrix(spec, derive_stream(9, 0))
+    want = _flow_bytes(h0, FlowParams(n=n, t=0.4, profile=profile.copy()))
+    params = FlowParams(n=n, t=0.4, profile=profile)
+    profile[0, 1] = profile[1, 0] = 0.5 / n  # before any coefficient is computed
+    assert _flow_bytes(h0, params) == want
+    profile *= 1.5  # after they are computed
+    assert _flow_bytes(h0, params) == want
+    with pytest.raises(ValueError):
+        params.profile[0, 0] = 1.0
+
+
+def test_threads_reaching_a_fresh_params_at_once_see_its_one_set_of_coefficients():
+    # eight threads on two cores first touch the lazily computed coefficients
+    # together, with the interpreter switching threads as often as it can
+    n = 30
+    spec = EnsembleSpec(n=n, kind="sparse_generic", profile=alternating_profile(n, 0.8, 1.2))
+
+    def run(threads):
+        params = FlowParams(n=n, t=0.3, profile=spec.profile)
+
+        def one(k):
+            h0 = sample_matrix(spec, derive_stream(10, 3 * k))
+            fs = decompose_sample(h0, params, derive_stream(10, 3 * k + 1))
+            return evolve(h0, params, derive_stream(10, 3 * k + 2)).tobytes() + fs.h_t.tobytes()
+
+        return trial_map(one, 32, threads)
+
+    want = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want

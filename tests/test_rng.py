@@ -2,6 +2,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from rmtlab.errors import DegenerateSpectrumError, NumericalError
@@ -166,3 +168,24 @@ def test_gaussian_matches_mean_plus_root_variance_times_ndtri(size, array_varian
         ref = mean + np.sqrt(variance) * ndtri(twin.uniform(size))
         assert np.shape(x) == np.shape(ref)
         assert np.asarray(x).tobytes() == np.asarray(ref).tobytes()
+
+
+_SIZES = st.one_of(st.none(), st.integers(0, 300),
+                   st.tuples(st.integers(0, 12), st.integers(0, 12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(master_seed=st.integers(0, 2 ** 64 - 1), stream_index=st.integers(0, 2 ** 64 - 1),
+       sizes=st.lists(_SIZES, min_size=1, max_size=4))
+def test_uniform_from_raw_words_is_the_bounded_integer_draw(master_seed, stream_index, sizes):
+    # integers(0, 2**52) never rejects a word, so it is the word's top 52 bits
+    key = np.array([master_seed, stream_index], dtype=np.uint64)
+    twin = np.random.Generator(np.random.Philox(key=key))
+    stream = RngStream(master_seed, stream_index)
+    for size in sizes:
+        want = twin.integers(0, 1 << 52, size=size, dtype=np.int64) + 0.5
+        want *= 2.0 ** -52
+        got = stream.uniform(size)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
