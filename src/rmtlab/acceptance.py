@@ -23,9 +23,9 @@ import numpy as np
 
 from . import experiments
 from . import statistics as stats
-from .ensembles import EnsembleSpec, _upper_mask, sample_matrix
+from .ensembles import EnsembleSpec, _sample_upper, sample_matrix
 from .experiments import DEFAULT_SEED
-from .flow import FlowParams, decompose_sample, evolve
+from .flow import FlowParams, _decompose_upper, _evolve_upper, decompose_sample, evolve
 from .free_conv import FreeConvInput, density_from_stieltjes, solve_m_t
 from .rng import derive_stream, trial_map
 from .spectral import (
@@ -130,6 +130,19 @@ class AcceptanceSuite:
             sample_matrix(spec, derive_stream(self.seed, base + 2)),
             params, derive_stream(self.seed, base + 3),
         ).h_t
+        return h_e, h_d
+
+    def _packed_flow_pair(self, spec, params, base):
+        """``_flow_pair``'s upper triangles, from the same streams, without
+        building a matrix."""
+        h_e = _evolve_upper(
+            _sample_upper(spec, derive_stream(self.seed, base)),
+            params, derive_stream(self.seed, base + 1),
+        )
+        h_d = _decompose_upper(
+            _sample_upper(spec, derive_stream(self.seed, base + 2)),
+            params, derive_stream(self.seed, base + 3),
+        )
         return h_e, h_d
 
     # -- criterion 1 -------------------------------------------------------
@@ -256,13 +269,11 @@ class AcceptanceSuite:
         spec = EnsembleSpec(n=n, kind="erdos_renyi", q_exponent=0.4)
         params = FlowParams(n=n, t=t, mean=spec.entry_mean)
         trials, ks_trials = self._flow_law_trials()
-        mask = _upper_mask(n)
         f = spec.entry_mean
 
         def one(k):
             out = []
-            for h in self._flow_pair(spec, params, _BASE_FLOW_LAW + 4 * k):
-                x = h[mask]
+            for x in self._packed_flow_pair(spec, params, _BASE_FLOW_LAW + 4 * k):
                 c2 = x - f
                 c2 *= c2
                 out.extend((x.sum(), c2.sum(), (c2 * c2).sum()))

@@ -2,6 +2,7 @@
 
 ``sample_matrix`` is the one dense sampler: it draws the upper triangle
 (diagonal included) in packed order and mirrors it into a fresh (n, n) array.
+Callers that read only the upper triangle take the packed draw itself.
 A cached boolean mask owns that order as its C order: ``h[mask]`` gathers in
 it, the flow's entry noise follows it, and ``upper_triangle(n)`` lists it.
 ``sample_goe_tridiagonal`` instead returns a ``SymmetricTridiagonal`` whose
@@ -66,7 +67,9 @@ class EnsembleSpec:
         if problems:
             raise ValueError("; ".join(problems))
         if self.profile is not None:
-            object.__setattr__(self, "profile", np.asarray(self.profile, dtype=float))
+            # A read-only copy: a later edit of the caller's array must not
+            # bypass the checks above or change later samples.
+            object.__setattr__(self, "profile", _read_only_copy(self.profile))
 
     def validation_errors(self):
         errs = []
@@ -115,6 +118,13 @@ class EnsembleSpec:
     @property
     def entry_mean(self):
         return self.rank_one_mean / self.n
+
+
+def _read_only_copy(a):
+    """A float copy of ``a`` that nobody can write to."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def _profile_errors(profile, n):
@@ -190,12 +200,17 @@ def _symmetric_from_upper(n, values):
     return out
 
 
-def sample_goe(n, rng: RngStream):
-    """GOE matrix: off-diagonal N(0, 1/n), diagonal N(0, 2/n)."""
+def _sample_goe_upper(n, rng: RngStream):
+    """``sample_goe``'s upper triangle in packed order."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sd = _goe_sd(n)
-    return _symmetric_from_upper(n, rng._normal(0.0, sd, sd.size))
+    return rng._normal(0.0, sd, sd.size)
+
+
+def sample_goe(n, rng: RngStream):
+    """GOE matrix: off-diagonal N(0, 1/n), diagonal N(0, 2/n)."""
+    return _symmetric_from_upper(n, _sample_goe_upper(n, rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,14 +257,31 @@ def sample_matrix(spec: EnsembleSpec, rng: RngStream):
     has mean 0, variance s_ij and k-th moment bounded by C^k / (n q^(k-2)),
     and adds the mean f back as f/n on every entry.  goe is ``sample_goe``.
     """
+    return _sample_upper(spec, rng, fill=_symmetric_from_upper)
+
+
+def _packed(n, values):
+    return values
+
+
+def _sample_upper(spec: EnsembleSpec, rng: RngStream, fill=_packed):
+    """``sample_matrix``'s upper triangle in packed order, as a fresh array,
+    or ``fill(n, values)`` of it.
+
+    The fill runs while the draw's temporaries are alive.  Freeing them
+    first puts the (n, n) matrix lower in the heap, and freeing it later
+    then lets glibc trim the heap top, which the next sample faults in
+    again: about 1900 page faults a cycle where n = 500 samples alternate
+    with eigensolves and free-convolution solves.
+    """
     n = spec.n
     if spec.kind == "goe":
-        return sample_goe(n, rng)
+        return fill(n, _sample_goe_upper(n, rng))
     q = spec.q
     p, scale = q * q / n, spec.gamma / q
     bern = rng.bernoulli(p, size=n * (n + 1) // 2)
     if spec.kind == "erdos_renyi":
-        return _symmetric_from_upper(n, scale * bern)
+        return fill(n, scale * bern)
     s = _upper_profile(spec.profile, n)
     centered = np.sqrt(n * s) * scale * (bern - p)
-    return _symmetric_from_upper(n, centered + spec.entry_mean)
+    return fill(n, centered + spec.entry_mean)

@@ -21,7 +21,9 @@ vanish, never go negative, when r is the exact profile minimum.
 Everything that depends only on the parameters (the decay factor, both noise
 standard deviations, r and theta_t) is computed once per ``FlowParams``, on
 first use, and kept for that object's life; a trial only draws, scales, adds
-and fills.
+and fills.  The flow works on the packed upper triangle in place: ``evolve``
+and ``decompose_sample`` gather H_0's upper triangle and fill the result,
+while callers that read only the upper triangle stay packed throughout.
 """
 
 import functools
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (_goe_weight, _profile_errors, _symmetric_from_upper,
-                        _upper_mask, _upper_profile, sample_goe)
+from .ensembles import (_goe_weight, _profile_errors, _read_only_copy,
+                        _sample_goe_upper, _symmetric_from_upper, _upper_mask,
+                        _upper_profile, sample_goe)
 from .errors import InfeasibleDecompositionError
 from .rng import RngStream
 
@@ -74,9 +77,7 @@ class FlowParams:
                 raise ValueError("; ".join(problems))
             # A read-only copy: the cached coefficients below must not go
             # stale when the caller edits its own array.
-            profile = np.array(self.profile, dtype=float)
-            profile.flags.writeable = False
-            object.__setattr__(self, "profile", profile)
+            object.__setattr__(self, "profile", _read_only_copy(self.profile))
 
     @functools.cached_property
     def r(self):
@@ -141,42 +142,65 @@ class FlowSample:
     theta: float
 
 
-def _flow_kernel(h0, params: FlowParams, sd, rng: RngStream):
-    """f + exp(-t/(2 n s_ij)) (h0_ij - f) + sd_ij Normal(0, 1) on the upper
-    triangle, filled symmetric."""
-    vals = h0[_upper_mask(params.n)]
+def _flow_kernel(vals, params: FlowParams, sd, rng: RngStream):
+    """f + exp(-t/(2 n s_ij)) (h0_ij - f) + sd_ij Normal(0, 1), in place on the
+    packed H_0 values ``vals``; returns ``vals``."""
     vals -= params.mean
     vals *= params._decay
     vals += params.mean
     vals += rng._normal(0.0, sd, vals.size)
-    return _symmetric_from_upper(params.n, vals)
+    return vals
+
+
+def _evolve_upper(vals, params: FlowParams, rng: RngStream):
+    """``evolve`` on packed H_0 values, in place; t = 0 draws nothing."""
+    if params.t == 0:
+        return vals
+    return _flow_kernel(vals, params, params._evolve_sd, rng)
+
+
+def _residual_upper(vals, params: FlowParams, rng: RngStream):
+    """H_t^(1) on packed H_0 values, in place.  The residual noise is drawn at
+    t = 0 too, where H_t^(1) is H_0, so the GOE part always reads the same
+    stretch of the stream."""
+    if params.t == 0:
+        rng.uniform(vals.size)
+        return vals
+    return _flow_kernel(vals, params, params._residual_sd, rng)
+
+
+def _decompose_upper(vals, params: FlowParams, rng: RngStream):
+    """``decompose_sample``'s H_t on packed H_0 values, in place."""
+    vals = _residual_upper(vals, params, rng)
+    vals += params.theta * _sample_goe_upper(params.n, rng)
+    return vals
+
+
+def _check_shape(h0, n):
+    if h0.shape != (n, n):
+        raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
 
 
 def evolve(h0, params: FlowParams, rng: RngStream):
-    """Sample H_t given H_0, exact in law; t = 0 returns a copy of H_0."""
+    """Sample H_t given H_0, exact in law; t = 0 returns a copy of H_0, and
+    any other t reads H_0 through its upper triangle."""
     n = params.n
-    if h0.shape != (n, n):
-        raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
+    _check_shape(h0, n)
     if params.t == 0:
         return h0.copy()
-    return _flow_kernel(h0, params, params._evolve_sd, rng)
+    return _symmetric_from_upper(n, _evolve_upper(h0[_upper_mask(n)], params, rng))
 
 
 def decompose_sample(h0, params: FlowParams, rng: RngStream):
     """Sample the pair (H_t^(1), G) and assemble H_t = H_t^(1) + theta_t G.
 
-    Raises InfeasibleDecompositionError when r is too large for the profile
-    (see ``FlowParams._residual_sd``).
+    H_0 is read through its upper triangle.  Raises
+    InfeasibleDecompositionError when r is too large for the profile (see
+    ``FlowParams._residual_sd``).
     """
     n = params.n
-    if h0.shape != (n, n):
-        raise ValueError(f"h0 shape {h0.shape} does not match n = {n}")
-    # The residual noise is drawn at t = 0 too, so the GOE part always reads
-    # the same stretch of the stream.
-    h1 = _flow_kernel(h0, params, params._residual_sd, rng)
-    if params.t == 0:
-        h1 = h0.copy()
-
+    _check_shape(h0, n)
+    h1 = _symmetric_from_upper(n, _residual_upper(h0[_upper_mask(n)], params, rng))
     goe = sample_goe(n, rng)
     h_t = params.theta * goe
     h_t += h1

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rmtlab import acceptance, statistics
+from rmtlab import acceptance, ensembles, flow, statistics
 from rmtlab.acceptance import DEFAULT_SEED, AcceptanceSuite
 
 SCALE = float(os.environ.get("RMTLAB_ACCEPTANCE_SCALE", "1.0"))
@@ -87,6 +87,28 @@ def test_criterion_10_samples_each_h0_once_for_all_three_times(monkeypatch):
     result = suite.criterion_flow_continuity()
     assert passes == [[0.0, 1e-4, 1e-2]]
     assert len(samples) == result.details["trials"]
+
+
+def test_criterion_6_fills_matrices_only_for_its_spectrum_pairs(monkeypatch):
+    # Doubling the moment trials leaves the fill count alone: only the KS
+    # spectrum pairs, which eigensolve, build dense matrices.
+    fills = []
+    fill = ensembles._symmetric_from_upper
+
+    def counted_fill(n, values):
+        fills.append(n)
+        return fill(n, values)
+
+    monkeypatch.setattr(ensembles, "_symmetric_from_upper", counted_fill)
+    monkeypatch.setattr(flow, "_symmetric_from_upper", counted_fill)
+    counts = {}
+    for scale in (0.0004, 0.0008):
+        suite = AcceptanceSuite(seed=DEFAULT_SEED, threads=1, scale=scale)
+        fills.clear()
+        suite.criterion_flow_law_equivalence()
+        counts[suite._flow_law_trials()] = len(fills)
+    assert list(counts) == [(4, 4), (8, 4)]
+    assert counts[4, 4] == counts[8, 4] > 0
 
 
 def test_a_criterion_over_its_runtime_budget_fails(monkeypatch):

@@ -189,3 +189,15 @@ def test_tridiagonal_goe_has_the_dense_goe_eigenvalue_law_at_n_1000():
     assert pooled <= 0.002
     assert gaps <= 0.02
     assert central <= 1.949 * np.sqrt(2.0 / trials)
+
+
+def test_editing_the_callers_profile_leaves_the_samples_alone():
+    n = 12
+    profile = alternating_profile(n, 0.8, 1.2)
+    spec = EnsembleSpec(n=n, kind="sparse_generic", profile=profile)
+    want = sample_matrix(spec, derive_stream(11, 0)).tobytes()
+    profile[0, 1] = profile[1, 0] = 100.0 / n  # outside the admissible bounds
+    profile *= 1.5
+    assert sample_matrix(spec, derive_stream(11, 0)).tobytes() == want
+    with pytest.raises(ValueError):
+        spec.profile[0, 0] = 1.0

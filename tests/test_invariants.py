@@ -2,9 +2,10 @@
 
 Exact symmetry, the t = 0 identity of the flow, and a fixed count of uniforms
 per call: the count is what keeps stream addressing, and so every artifact,
-independent of the values drawn.  The uniform profile, held as the scalar 1/n,
-gives the bytes of the explicit 1/n matrix, and the cached packed layout is
-never shared with a caller.  The cached upper-triangle mask fills, gathers
+independent of the values drawn.  The packed samplers and flow give the dense
+upper triangle byte for byte and leave the stream where the dense path does.
+The uniform profile, held as the scalar 1/n, gives the bytes of the explicit
+1/n matrix, and the cached packed layout is never shared with a caller.  The cached upper-triangle mask fills, gathers
 and lists the packed order exactly as ``triu_indices`` does.
 """
 
@@ -16,13 +17,14 @@ from hypothesis import strategies as st
 from rmtlab.ensembles import (
     KINDS,
     EnsembleSpec,
+    _sample_upper,
     _symmetric_from_upper,
     _upper_mask,
     alternating_profile,
     sample_matrix,
     upper_triangle,
 )
-from rmtlab.flow import FlowParams, decompose_sample, evolve
+from rmtlab.flow import FlowParams, _decompose_upper, _evolve_upper, decompose_sample, evolve
 from rmtlab.rng import RngStream
 
 SETTINGS = settings(max_examples=10, deadline=None)
@@ -99,6 +101,45 @@ def test_decompose_sample_is_symmetric_draws_twice_and_is_identity_at_t0(spec, s
     assert stream.drawn == 2 * upper_size(spec.n)
     if t == 0:
         assert fs.h_t.tobytes() == h0.tobytes()
+
+
+@st.composite
+def packed_specs(draw):
+    """ER, GOE, or sparse_generic with both a profile and a mean."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(KINDS))
+    if kind != "sparse_generic":
+        return EnsembleSpec(n=n, kind=kind)
+    return EnsembleSpec(n=n, kind=kind, profile=alternating_profile(n, 0.8, 1.2),
+                        mean_f=draw(st.floats(0.0, 1.0)))
+
+
+def next_uniform(stream, skip=0):
+    stream.uniform(skip)
+    return stream.uniform()
+
+
+@SETTINGS
+@given(spec=packed_specs(), seed=SEED, t=st.floats(1e-6, 10.0))
+def test_packed_sample_and_flow_are_the_dense_upper_triangle(spec, seed, t):
+    n, mask = spec.n, _upper_mask(spec.n)
+    dense_stream, packed_stream = RngStream(seed, 0), RngStream(seed, 0)
+    h0 = sample_matrix(spec, dense_stream)
+    x0 = _sample_upper(spec, packed_stream)
+    assert x0.tobytes() == h0[mask].tobytes()
+    after = next_uniform(RngStream(seed, 0), upper_size(n))
+    assert next_uniform(packed_stream) == next_uniform(dense_stream) == after
+    for params in (flow_for(spec, 0.0), flow_for(spec, t)):
+        legs = (
+            (evolve, _evolve_upper, 0 if params.t == 0 else upper_size(n)),
+            (lambda *a: decompose_sample(*a).h_t, _decompose_upper, 2 * upper_size(n)),
+        )
+        for dense, packed, drawn in legs:
+            dense_stream, packed_stream = RngStream(seed, 1), RngStream(seed, 1)
+            want = dense(h0, params, dense_stream)[mask]
+            assert packed(x0.copy(), params, packed_stream).tobytes() == want.tobytes()
+            after = next_uniform(RngStream(seed, 1), drawn)
+            assert next_uniform(packed_stream) == next_uniform(dense_stream) == after
 
 
 @SETTINGS

@@ -7,6 +7,7 @@ package, a demo or the benchmark uses it, or it goes.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -55,7 +56,8 @@ def public_members(cls):
         name for name, value in vars(cls).items()
         if not name.startswith("_")
         and (inspect.isfunction(value)
-             or isinstance(value, (property, classmethod, staticmethod)))
+             or isinstance(value, (property, functools.cached_property,
+                                   classmethod, staticmethod)))
     }
     if dataclasses.is_dataclass(cls):
         members |= {f.name for f in dataclasses.fields(cls)}
