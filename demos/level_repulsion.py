@@ -7,6 +7,8 @@ probability for sparse and GOE ensembles and shows the coupled flow
 comparison of E[chi_M(Q_i)].
 """
 
+import sys
+
 from rmtlab import EnsembleSpec, FlowParams
 from rmtlab.spectral import classical_location, rho_sc
 from rmtlab.statistics import (
@@ -37,7 +39,11 @@ cut = CutoffSpec.from_n_tau(N, 0.2)
 print(f"  cutoff M = N^0.4 = {cut.m:.2f}")
 times = (0.0, 1e-4, 1e-2)
 flows = [FlowParams(n=N, t=t, mean=spec.entry_mean) for t in times]
-for t, cmp in zip(times, chi_q_flow_comparison(spec, flows, i, cut, 150, SEED)):
+comparisons = chi_q_flow_comparison(spec, flows, i, cut, 150, SEED)
+for t, cmp in zip(times, comparisons):
     print(f"  t={t:8.1e}  E0={cmp.e0:.4f}  Et={cmp.et:.4f}  "
           f"diff={cmp.diff:+.5f} +- {cmp.se:.5f}")
 print("  (the t = 0 difference is exactly zero by construction)")
+
+if comparisons[0].diff != 0.0:
+    sys.exit("the t = 0 difference is not exactly zero")

@@ -6,6 +6,8 @@ H_t = H_t^(1) + theta_t G with an independent GOE part G; this script checks
 both facts numerically and prints theta_t across time.
 """
 
+import sys
+
 import numpy as np
 
 from rmtlab import EnsembleSpec, FlowParams, decompose_sample, derive_stream, evolve, theta_t
@@ -35,3 +37,6 @@ print(f"  theta_t = {fs.theta:.6f} (formula {theta_t(0.5, params.r):.6f})")
 print(f"  reconstruction |H_t - (H_t1 + theta G)|_max = {recon:.2e}")
 print(f"  GOE part entry variance * N: "
       f"{fs.goe_part[np.triu_indices(N, 1)].var() * N:.4f} (expect ~1)")
+
+if recon != 0.0:
+    sys.exit("the split H_t = H_t1 + theta G is not exact")

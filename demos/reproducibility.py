@@ -6,6 +6,8 @@ result.  The same property makes coupled comparisons exact: at t = 0 the flow
 returns its input bit for bit.
 """
 
+import sys
+
 import numpy as np
 
 from rmtlab import derive_stream, trial_map
@@ -23,13 +25,19 @@ def trial(k):
 
 serial = np.array(trial_map(trial, 24, threads=1))
 pooled = np.array(trial_map(trial, 24, threads=4))
+identical = np.array_equal(serial, pooled)
 print("24 trials, serial vs 4 worker threads:")
-print(f"  identical results: {np.array_equal(serial, pooled)}")
+print(f"  identical results: {identical}")
 
 print("\nsame address, same draws:")
 a = derive_stream(SEED, 7).gaussian(0.0, 1.0, 4)
 b = derive_stream(SEED, 7).gaussian(0.0, 1.0, 4)
-print(f"  stream (seed={SEED}, index=7) twice -> equal: {np.array_equal(a, b)}")
+equal = np.array_equal(a, b)
+print(f"  stream (seed={SEED}, index=7) twice -> equal: {equal}")
 
 c = derive_stream(SEED, 8).gaussian(0.0, 1.0, 4)
-print(f"  index 8 instead -> different: {not np.array_equal(a, c)}")
+different = not np.array_equal(a, c)
+print(f"  index 8 instead -> different: {different}")
+
+if not (identical and equal and different):
+    sys.exit("a reproducibility claim above is False")

@@ -20,6 +20,7 @@ every entry.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ PROFILE_BOUNDS = (0.05, 20.0)
 class EnsembleSpec:
     """Parameters pinning down one sampling law.
 
-    n            matrix dimension
+    n            matrix dimension, an integer >= 2
     kind         "erdos_renyi" | "sparse_generic" | "goe"
     q_exponent   sparsity exponent a with q = n**a (sparse kinds only)
     mean_f       rank-one mean coefficient f (entry mean is f/n), sparse_generic
@@ -76,8 +77,8 @@ class EnsembleSpec:
         if self.kind not in KINDS:
             errs.append(f"unknown ensemble kind {self.kind!r}")
             return errs
-        if self.n < 2:
-            errs.append(f"n must be >= 2, got {self.n}")
+        errs = _dimension_errors(self.n)
+        if errs:
             return errs
         if self.kind in ("erdos_renyi", "sparse_generic"):
             if not 0.0 < self.q_exponent <= 0.5:
@@ -125,6 +126,13 @@ def _read_only_copy(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _dimension_errors(n):
+    """Why ``n`` is not a matrix dimension: an integer (not bool) >= 2."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        return [f"n must be an integer, got {n!r}"]
+    return [] if n >= 2 else [f"n must be >= 2, got {n}"]
 
 
 def _profile_errors(profile, n):

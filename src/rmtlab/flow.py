@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (_goe_weight, _profile_errors, _read_only_copy,
-                        _sample_goe_upper, _symmetric_from_upper, _upper_mask,
-                        _upper_profile, sample_goe)
+from .ensembles import (_dimension_errors, _goe_weight, _profile_errors,
+                        _read_only_copy, _sample_goe_upper, _symmetric_from_upper,
+                        _upper_mask, _upper_profile, sample_goe)
 from .errors import InfeasibleDecompositionError
 from .rng import RngStream
 
@@ -54,10 +54,10 @@ def theta_t(t, r):
 class FlowParams:
     """Flow time, variance profile and entry mean.
 
-    n         matrix dimension
+    n         matrix dimension, an integer >= 2
     t         flow time, >= 0
     profile   entry variances s_ij, or None for the uniform 1/n profile
-    mean      per-entry mean f (note: a rank-one coefficient f_coef on
+    mean      finite per-entry mean f (note: a rank-one coefficient f_coef on
               |e><e| corresponds to entry mean f_coef/n)
     """
 
@@ -67,14 +67,16 @@ class FlowParams:
     mean: float = 0.0
 
     def __post_init__(self):
+        problems = _dimension_errors(self.n)
         if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and nonnegative, got {self.t}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.profile is not None:
+            problems.append(f"t must be finite and nonnegative, got {self.t}")
+        if not math.isfinite(self.mean):
+            problems.append(f"mean must be finite, got {self.mean}")
+        if self.profile is not None and not problems:
             problems = _profile_errors(self.profile, self.n)
-            if problems:
-                raise ValueError("; ".join(problems))
+        if problems:
+            raise ValueError("; ".join(problems))
+        if self.profile is not None:
             # A read-only copy: the cached coefficients below must not go
             # stale when the caller edits its own array.
             object.__setattr__(self, "profile", _read_only_copy(self.profile))
@@ -182,12 +184,10 @@ def _check_shape(h0, n):
 
 
 def evolve(h0, params: FlowParams, rng: RngStream):
-    """Sample H_t given H_0, exact in law; t = 0 returns a copy of H_0, and
-    any other t reads H_0 through its upper triangle."""
+    """Sample H_t given H_0, exact in law.  H_0 is read through its upper
+    triangle at every t: t = 0 draws nothing and mirrors that triangle."""
     n = params.n
     _check_shape(h0, n)
-    if params.t == 0:
-        return h0.copy()
     return _symmetric_from_upper(n, _evolve_upper(h0[_upper_mask(n)], params, rng))
 
 

@@ -91,7 +91,7 @@ def test_criterion_10_samples_each_h0_once_for_all_three_times(monkeypatch):
 
 def test_criterion_6_fills_matrices_only_for_its_spectrum_pairs(monkeypatch):
     # Doubling the moment trials leaves the fill count alone: only the KS
-    # spectrum pairs, which eigensolve, build dense matrices.
+    # spectrum pairs build dense matrices, exactly the two each eigensolves.
     fills = []
     fill = ensembles._symmetric_from_upper
 
@@ -101,6 +101,7 @@ def test_criterion_6_fills_matrices_only_for_its_spectrum_pairs(monkeypatch):
 
     monkeypatch.setattr(ensembles, "_symmetric_from_upper", counted_fill)
     monkeypatch.setattr(flow, "_symmetric_from_upper", counted_fill)
+    monkeypatch.setattr(acceptance, "_symmetric_from_upper", counted_fill)
     counts = {}
     for scale in (0.0004, 0.0008):
         suite = AcceptanceSuite(seed=DEFAULT_SEED, threads=1, scale=scale)
@@ -108,7 +109,7 @@ def test_criterion_6_fills_matrices_only_for_its_spectrum_pairs(monkeypatch):
         suite.criterion_flow_law_equivalence()
         counts[suite._flow_law_trials()] = len(fills)
     assert list(counts) == [(4, 4), (8, 4)]
-    assert counts[4, 4] == counts[8, 4] > 0
+    assert counts[4, 4] == counts[8, 4] == 2 * 4
 
 
 def test_a_criterion_over_its_runtime_budget_fails(monkeypatch):

@@ -325,6 +325,9 @@ def test_cli_rejects_non_integer_and_non_finite_numbers(tmp_path, capsys, config
 
 SPARSE = {"n": 20, "kind": "sparse_generic", "q_exponent": 0.4}
 NAN = float("nan")
+# At n = 20 the default window is |E| <= 1.9, eta in [20^-1.5, 1/20] = [0.0112, 0.05].
+GREEN_WINDOW = {"experiment": "green-compare", "ensemble": ER, "flow": {"t": 0.01},
+                "trials": 3, "stats": {"e_list": [0.0, 1.5], "eta": 0.02}}
 
 
 def explicit(value):
@@ -381,11 +384,18 @@ def explicit(value):
      "stats: grid_points must lie in [2, inf], got 0"),
     ({"experiment": "free-conv", "stats": {"theta_sq": 0.25, "dev_points": 0}},
      "stats: dev_points must lie in [1, inf], got 0"),
+    # GREEN_WINDOW's points lie inside the default window (see
+    # test_green_compare_honours_f_kind); each key below moves an edge past one
+    ({**GREEN_WINDOW, "stats": {**GREEN_WINDOW["stats"], "kappa": 0.6}},
+     "z = (1.5+0.02j) outside the window |E| <= 1.4"),
+    ({**GREEN_WINDOW, "stats": {**GREEN_WINDOW["stats"], "delta": 0.1}},
+     "z = 0.02j outside the window |E| <= 1.9, eta in [0.0371, 0.05]"),
 ], ids=["bins-float", "index-float", "dev-points-float", "flow-t-string", "flow-t-bool",
         "q-exponent-string", "kappa-string", "profile-lo-string", "bins-bool",
         "prefactor-nan", "e-list-nan", "free-conv-eta-nan", "dev-eta-nan",
         "flow-profile-infinity", "flow-profile-tiny", "kappa-huge-int", "n-huge-int",
-        "grid-points-one", "grid-points-zero", "dev-points-zero"])
+        "grid-points-one", "grid-points-zero", "dev-points-zero",
+        "green-kappa-excludes-z", "green-delta-excludes-z"])
 def test_cli_rejects_malformed_numbers_before_writing(tmp_path, capsys, config,
                                                       message):
     assert_cli_exits_2(tmp_path, capsys, config, message)
@@ -493,6 +503,19 @@ def test_flow_compare_honours_flow_mean(tmp_path):
     shifted = payload({"t": 0.05, "mean_f": 0.3})
     assert shifted["e0"] == plain["e0"]  # H_0 does not see the flow
     assert shifted["et"] != plain["et"]
+
+
+def test_green_compare_honours_f_kind(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        **GREEN_WINDOW, "stats": {**GREEN_WINDOW["stats"], "f_kind": "re"},
+        "seed": 4, "out_dir": str(tmp_path),
+    })
+    run(cfg)
+    points = json.loads((tmp_path / "green_compare.json").read_text())["points"]
+    spec = cfg.ensemble_spec()
+    [want] = statistics.green_trace_comparison(
+        spec, [cfg.flow_params(spec)], [0.02j, 1.5 + 0.02j], "re", 3, 4)
+    assert [(p["diff"], p["se"]) for p in points] == list(zip(want.diff, want.se))
 
 
 def test_flow_params_default_to_the_ensemble_profile():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from rmtlab.ensembles import EnsembleSpec, alternating_profile, sample_matrix, upper_triangle
+from rmtlab.ensembles import (EnsembleSpec, _symmetric_from_upper, _upper_mask,
+                              alternating_profile, sample_matrix, upper_triangle)
 from rmtlab.errors import InfeasibleDecompositionError
 from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
 from rmtlab.rng import derive_stream, trial_map
@@ -51,9 +52,37 @@ def test_evolve_time_zero_is_identity():
     assert np.array_equal(evolve(h0, params, derive_stream(1, 1)), h0)
 
 
+def test_evolve_at_time_zero_mirrors_the_upper_triangle():
+    # a non-symmetric H_0 shows which triangle t = 0 reads; nothing is drawn
+    n = 9
+    h0 = derive_stream(1, 2).gaussian(0.0, 1.0, n * n).reshape(n, n)
+    params = FlowParams(n=n, t=0.0)
+    mirrored = _symmetric_from_upper(n, h0[_upper_mask(n)]).tobytes()
+    rng = derive_stream(1, 3)
+    assert evolve(h0, params, rng).tobytes() == mirrored
+    assert rng.uniform(4).tobytes() == derive_stream(1, 3).uniform(4).tobytes()
+    assert decompose_sample(h0, params, derive_stream(1, 4)).h_t1.tobytes() == mirrored
+
+
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
         FlowParams(n=10, t=-0.5)
+
+
+@pytest.mark.parametrize("make, field, bad, good", [
+    (lambda **kw: EnsembleSpec(kind="goe", **kw), "n", 2.5, np.int64(20)),
+    (lambda **kw: EnsembleSpec(kind="goe", **kw), "n", True, np.int32(20)),
+    (lambda **kw: FlowParams(t=0.1, **kw), "n", 2.5, np.int64(20)),
+    (lambda **kw: FlowParams(t=0.1, **kw), "n", True, np.int32(20)),
+    (lambda **kw: FlowParams(n=20, t=0.5, **kw), "mean", float("nan"), 0.5),
+    (lambda **kw: FlowParams(n=20, t=0.5, **kw), "mean", float("inf"), 0.5),
+], ids=["ensemble-n-float", "ensemble-n-bool", "flow-n-float", "flow-n-bool",
+        "flow-mean-nan", "flow-mean-inf"])
+def test_constructors_reject_a_malformed_dimension_or_mean(make, field, bad, good):
+    rule = "an integer" if field == "n" else "finite"
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got"):
+        make(**{field: bad})
+    make(**{field: good})
 
 
 def test_evolve_preserves_mean_and_variance():
