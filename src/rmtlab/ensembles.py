@@ -209,11 +209,14 @@ def _symmetric_from_upper(n, values):
 
 
 def _sample_goe_upper(n, rng: RngStream):
-    """``sample_goe``'s upper triangle in packed order."""
+    """``sample_goe``'s upper triangle in packed order: the stream's ziggurat
+    standard normals, scaled by the cached sd."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sd = _goe_sd(n)
-    return rng._normal(0.0, sd, sd.size)
+    x = rng._standard_normal(sd.size)
+    x *= sd
+    return x
 
 
 def sample_goe(n, rng: RngStream):
@@ -258,12 +261,14 @@ def sample_goe_tridiagonal(n, rng: RngStream):
 
 
 def sample_matrix(spec: EnsembleSpec, rng: RngStream):
-    """One matrix of spec's law, one uniform per upper-triangle entry.
+    """One matrix of spec's law, drawn upper triangle first in packed order.
 
-    erdos_renyi draws (gamma/q) Bernoulli(q^2/n).  sparse_generic rescales the
-    centered entry (gamma/q)(Bernoulli(q^2/n) - q^2/n) by sqrt(n s_ij), so it
-    has mean 0, variance s_ij and k-th moment bounded by C^k / (n q^(k-2)),
-    and adds the mean f back as f/n on every entry.  goe is ``sample_goe``.
+    The sparse kinds draw one uniform per entry.  erdos_renyi draws
+    (gamma/q) Bernoulli(q^2/n).  sparse_generic rescales the centered entry
+    (gamma/q)(Bernoulli(q^2/n) - q^2/n) by sqrt(n s_ij), so it has mean 0,
+    variance s_ij and k-th moment bounded by C^k / (n q^(k-2)), and adds the
+    mean f back as f/n on every entry.  goe is ``sample_goe``: one ziggurat
+    normal per entry.
     """
     return _sample_upper(spec, rng, fill=_symmetric_from_upper)
 

@@ -18,12 +18,14 @@ initial matrix plus the residual (entrywise) Gaussian noise.  The residual
 variance on the diagonal carries the GOE weight (1+delta_ij)/2 and can only
 vanish, never go negative, when r is the exact profile minimum.
 
-Everything that depends only on the parameters (the decay factor, both noise
-standard deviations, r and theta_t) is computed once per ``FlowParams``, on
-first use, and kept for that object's life; a trial only draws, scales, adds
-and fills.  The flow works on the packed upper triangle in place: ``evolve``
-and ``decompose_sample`` gather H_0's upper triangle and fill the result,
-while callers that read only the upper triangle stay packed throughout.
+Everything that depends only on the parameters (the decay factor, the mean's
+shift, both noise standard deviations, r and theta_t) is computed once per
+``FlowParams``, on first use, and kept for that object's life; a trial only
+draws, scales, adds and fills.  The entry noise and the GOE part are the
+stream's ziggurat standard normals (see ``rng``), scaled by their cached sd.
+The flow works on the packed upper triangle in place: ``evolve`` and
+``decompose_sample`` gather H_0's upper triangle and fill the result, while
+callers that read only the upper triangle stay packed throughout.
 """
 
 import functools
@@ -43,10 +45,10 @@ __all__ = ["FlowParams", "FlowSample", "theta_t", "evolve", "decompose_sample"]
 
 def theta_t(t, r):
     """sqrt(r (1 - e^{-t/r}) / 2), evaluated stably for t/r << 1."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"r must be finite and positive, got {r}")
     return float(np.sqrt(0.5 * r * -np.expm1(-t / r)))
 
 
@@ -97,6 +99,11 @@ class FlowParams:
         return _read_only(np.exp(-self.t / (2.0 * self.n * s)))
 
     @functools.cached_property
+    def _shift(self):
+        """(1 - exp(-t/(2 n s_ij))) f: where the decay moves the mean."""
+        return _read_only((1.0 - self._decay) * self.mean)
+
+    @functools.cached_property
     def _evolve_sd(self):
         """sqrt(s_ij (1 - e^{-t/(n s_ij)})): the sd of ``evolve``'s noise."""
         return _read_only(np.sqrt(self._noise_var()))
@@ -145,12 +152,14 @@ class FlowSample:
 
 
 def _flow_kernel(vals, params: FlowParams, sd, rng: RngStream):
-    """f + exp(-t/(2 n s_ij)) (h0_ij - f) + sd_ij Normal(0, 1), in place on the
-    packed H_0 values ``vals``; returns ``vals``."""
-    vals -= params.mean
+    """decay_ij h0_ij + (1 - decay_ij) f + sd_ij Z_ij, with decay_ij =
+    exp(-t/(2 n s_ij)) and Z_ij the stream's ziggurat standard normals, in
+    place on the packed H_0 values ``vals``; returns ``vals``."""
     vals *= params._decay
-    vals += params.mean
-    vals += rng._normal(0.0, sd, vals.size)
+    vals += params._shift
+    z = rng._standard_normal(vals.size)
+    z *= sd
+    vals += z
     return vals
 
 
@@ -166,7 +175,7 @@ def _residual_upper(vals, params: FlowParams, rng: RngStream):
     t = 0 too, where H_t^(1) is H_0, so the GOE part always reads the same
     stretch of the stream."""
     if params.t == 0:
-        rng.uniform(vals.size)
+        rng._standard_normal(vals.size)
         return vals
     return _flow_kernel(vals, params, params._residual_sd, rng)
 

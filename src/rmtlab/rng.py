@@ -10,9 +10,16 @@ A uniform is read straight off the stream's next raw 64-bit Philox word w as
 bit for bit ``Generator.integers(0, 2**52)`` plus one half, scaled, since
 Lemire's bounded-integer method never rejects a power-of-two range.
 
-Gaussians are produced by inverse-CDF transform of these uniforms rather than
-a rejection sampler, so a request for ``m`` values always consumes exactly
-``m`` uniforms from the stream.
+Normals come from one of two transforms of the same words:
+
+- ``gaussian``, and the tridiagonal GOE model in ``ensembles``, take the
+  inverse CDF (``ndtri``) of these uniforms, so a request for ``m`` values
+  always consumes exactly ``m`` words.
+- The flow noise and the dense GOE entries take numpy's ziggurat
+  (``Generator.standard_normal``) on the stream's own Philox.  It reads one
+  word for most values and more for a few, so its word count varies with the
+  values drawn, but only inside the stream: another trial's stream, and so
+  its bytes, never moves.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +57,8 @@ class RngStream:
         self.stream_index = stream_index
         self._bits = np.random.Philox(
             key=np.array([master_seed, stream_index], dtype=np.uint64))
+        # Ziggurat standard normals, read off the same Philox words.
+        self._standard_normal = np.random.Generator(self._bits).standard_normal
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
@@ -65,23 +74,22 @@ class RngStream:
         return u
 
     def gaussian(self, mean, variance, size=None):
-        """Normal(mean, variance) draws; variance 0 returns the mean exactly.
+        """mean + sqrt(variance) ndtri(uniform): Normal(mean, variance) draws,
+        one uniform each.  Variance 0 returns the mean exactly (+0.0, not
+        ndtri's sign, for a mean of 0.0), since the mean goes on after the
+        scaling.
 
-        ``variance`` may be an array, broadcast against ``size``; each entry
-        must be nonnegative.
+        ``mean`` and ``variance`` may be arrays, broadcast against ``size``;
+        each mean must be finite and each variance finite and nonnegative.
         """
+        mean = np.asarray(mean, dtype=float)
         variance = np.asarray(variance, dtype=float)
-        if np.any(variance < 0.0):
-            raise ValueError("variance must be nonnegative")
-        return self._normal(mean, np.sqrt(variance), size)
-
-    def _normal(self, mean, sd, size):
-        """mean + sd * ndtri(uniform) for an sd the caller already checked
-        (nonnegative, broadcast against ``size``).  The mean goes on after the
-        scaling, so a zero sd gives exactly the mean: +0.0, not ndtri's sign,
-        for a mean of 0.0."""
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
+        if not np.all(np.isfinite(variance) & (variance >= 0.0)):
+            raise ValueError("variance must be finite and nonnegative")
         x = ndtri(self.uniform(size))
-        x *= sd
+        x *= np.sqrt(variance)
         x += mean
         return x
 

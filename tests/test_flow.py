@@ -1,13 +1,17 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import kstest
 
-from rmtlab.ensembles import (EnsembleSpec, _symmetric_from_upper, _upper_mask,
-                              alternating_profile, sample_matrix, upper_triangle)
+from rmtlab.ensembles import (EnsembleSpec, _sample_goe_upper, _sample_upper,
+                              _symmetric_from_upper, _upper_mask, alternating_profile,
+                              sample_matrix, upper_triangle)
 from rmtlab.errors import InfeasibleDecompositionError
-from rmtlab.flow import FlowParams, decompose_sample, evolve, theta_t
+from rmtlab.flow import FlowParams, _evolve_upper, decompose_sample, evolve, theta_t
 from rmtlab.rng import derive_stream, trial_map
 from rmtlab.spectral import eigenvalues_of
 from rmtlab.statistics import ks_distance
@@ -43,6 +47,16 @@ def test_theta_t_validation():
         theta_t(-1.0, 1.0)
     with pytest.raises(ValueError):
         theta_t(1.0, 0.0)
+
+
+@pytest.mark.parametrize("t, r", [
+    (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf")),
+])
+def test_theta_t_rejects_a_non_finite_time_or_scale(t, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            theta_t(t, r)
 
 
 def test_evolve_time_zero_is_identity():
@@ -103,6 +117,51 @@ def test_evolve_preserves_mean_and_variance():
         m2 = np.mean(c * c)
         se_var = np.sqrt((np.mean(c ** 4) - m2 * m2) / x.size)
         assert abs(m2 - 0.01) <= 4 * se_var
+
+
+def test_evolve_entry_mean_and_variance_match_the_closed_form():
+    # given H_0: E h_ij(t) = f + e^{-t/(2 n s_ij)} (h_ij(0) - f) and
+    # Var h_ij(t) = s_ij (1 - e^{-t/(n s_ij)}); 400 flows of one H_0, pooled
+    # over each profile value, within 4 standard errors
+    n, t, trials = 30, 0.4, 400
+    profile = alternating_profile(n, 0.8, 1.2)
+    spec = EnsembleSpec(n=n, kind="sparse_generic", profile=profile, mean_f=0.5)
+    params = FlowParams(n=n, t=t, profile=profile, mean=spec.entry_mean)
+    h0 = sample_matrix(spec, derive_stream(14, 0))
+    ht = np.stack([upper(evolve(h0, params, derive_stream(14, 1 + k))) for k in range(trials)])
+    s, f = upper(profile), spec.entry_mean
+    centered = ht - (f + np.exp(-t / (2 * n * s)) * (upper(h0) - f))
+    for s_ij in np.unique(s):
+        x = centered[:, s == s_ij]
+        var = s_ij * -np.expm1(-t / (n * s_ij))
+        assert abs(x.mean()) <= 4 * np.sqrt(var / x.size)
+        assert abs(np.mean(x * x) - var) <= 4 * var * np.sqrt(2.0 / x.size)
+
+
+# One-sample KS of 20100 packed n = 200 values against N(0, 1): 0.019 is the
+# critical value at level 1e-6; seeds 0..1999 peaked at 0.0148 (GOE entries)
+# and 0.0153 (evolve's noise, alternating profile, f = 0.5/n, t in [0.05, 5)).
+_KS_BOUND = 0.019
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), t=st.floats(0.05, 5.0),
+       mean_f=st.floats(0.0, 1.0), profiled=st.booleans())
+def test_goe_entries_and_evolve_noise_standardise_to_the_normal_law(seed, t, mean_f, profiled):
+    n = 200
+    rows, cols = upper_triangle(n)
+    goe_sd = np.sqrt(np.where(rows == cols, 2.0, 1.0) / n)
+    goe = _sample_goe_upper(n, derive_stream(seed, 0)) / goe_sd
+    profile = alternating_profile(n, 0.8, 1.2) if profiled else None
+    spec = EnsembleSpec(n=n, kind="sparse_generic", profile=profile, mean_f=mean_f)
+    params = FlowParams(n=n, t=t, profile=profile, mean=spec.entry_mean)
+    h0 = _sample_upper(spec, derive_stream(seed, 1))
+    ht = _evolve_upper(h0.copy(), params, derive_stream(seed, 2))
+    s = 1.0 / n if profile is None else profile[rows, cols]
+    decay, sd = np.exp(-t / (2 * n * s)), np.sqrt(s * -np.expm1(-t / (n * s)))
+    noise = (ht - decay * h0 - (1.0 - decay) * spec.entry_mean) / sd
+    for z in (goe, noise):
+        assert kstest(z, "norm").statistic <= _KS_BOUND
 
 
 def test_evolve_long_time_reaches_stationary_gaussian():
@@ -242,33 +301,39 @@ def _scatter_fill(n, vals):
     return out
 
 
-def _fancy_index_kernel(h0, params, s, variance, rng):
+def _ziggurat(seed, index):
+    """numpy's ziggurat standard normals on the Philox key of stream
+    (seed, index)."""
+    return np.random.Generator(np.random.Philox(key=[seed, index])).standard_normal
+
+
+def _fancy_index_kernel(h0, params, s, variance, normals):
     """The flow kernel as fancy-index gathers and scatters with a temporary
     per step, the formula the in-place kernel must reproduce bit for bit."""
     n = params.n
     rows, cols = np.triu_indices(n)
     decay = np.exp(-params.t / (2.0 * n * s))
-    vals = params.mean + decay * (h0[rows, cols] - params.mean)
-    vals = vals + (0.0 + np.sqrt(variance) * ndtri(rng.uniform(rows.size)))
+    vals = decay * h0[rows, cols] + (1.0 - decay) * params.mean
+    vals = vals + np.sqrt(variance) * normals(rows.size)
     return _scatter_fill(n, vals)
 
 
-def _fancy_index_flow(h0, params, streams):
+def _fancy_index_flow(h0, params, normals):
     """(evolve, decompose_sample) outputs of the fancy-index formula; each
-    path reads its own stream of ``streams``."""
+    path reads its own standard normals of ``normals``."""
     n, t = params.n, params.t
     rows, cols = np.triu_indices(n)
     s = 1.0 / n if params.profile is None else params.profile[rows, cols]
     evolved = (h0.copy() if t == 0 else
-               _fancy_index_kernel(h0, params, s, s * -np.expm1(-t / (n * s)), streams[0]))
+               _fancy_index_kernel(h0, params, s, s * -np.expm1(-t / (n * s)), normals[0]))
     r = float(n * np.min(s))
     w = np.where(rows == cols, 1.0, 0.5)
     resid = np.clip(s * -np.expm1(-t / (n * s)) - w * (r / n) * -np.expm1(-t / r), 0.0, None)
-    h1 = _fancy_index_kernel(h0, params, s, resid, streams[1])
+    h1 = _fancy_index_kernel(h0, params, s, resid, normals[1])
     if t == 0:
         h1 = h0.copy()
     theta = theta_t(t, r)
-    goe = _scatter_fill(n, 0.0 + np.sqrt((2.0 / n) * w) * ndtri(streams[1].uniform(rows.size)))
+    goe = _scatter_fill(n, np.sqrt((2.0 / n) * w) * normals[1](rows.size))
     return evolved, (h1 + theta * goe, h1, goe, theta)
 
 
@@ -282,7 +347,7 @@ def test_in_place_flow_gives_the_bytes_of_the_fancy_index_formula(spec, t):
     params = FlowParams(n=spec.n, t=t, profile=spec.profile, mean=spec.entry_mean)
     h0 = sample_matrix(spec, derive_stream(6, 0))
     evolved, (h_t, h1, goe, theta) = _fancy_index_flow(
-        h0, params, (derive_stream(6, 1), derive_stream(6, 2)))
+        h0, params, (_ziggurat(6, 1), _ziggurat(6, 2)))
     assert evolve(h0, params, derive_stream(6, 1)).tobytes() == evolved.tobytes()
     fs = decompose_sample(h0, params, derive_stream(6, 2))
     assert fs.theta == theta

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rmtlab.free_conv as free_conv
-from rmtlab.ensembles import EnsembleSpec, sample_goe, sample_matrix
+from rmtlab.ensembles import (EnsembleSpec, _symmetric_from_upper, sample_goe, sample_matrix,
+                              upper_triangle)
 from rmtlab.errors import AccuracyError, BranchError, FixedPointError
 from rmtlab.experiments import ExperimentConfig, run
 from rmtlab.free_conv import (
@@ -206,6 +207,15 @@ def sample_spectrum(n, kind, seed=59):
     return eigenvalues_of(sample_matrix(spec, derive_stream(seed, n)))
 
 
+def ndtri_goe_spectrum(n, stream):
+    """Eigenvalues of a dense GOE matrix of ``RngStream.gaussian`` entries,
+    one ``ndtri`` uniform each.  The pinned cases below were found on these
+    bytes, which ``sample_goe``'s ziggurat normals no longer give."""
+    rows, cols = upper_triangle(n)
+    variance = (2.0 / n) * np.where(rows == cols, 1.0, 0.5)
+    return eigenvalues_of(_symmetric_from_upper(n, stream.gaussian(0.0, variance, variance.size)))
+
+
 # One point certified in each stage of the block loop.  The semicircle base
 # starts at its exact law and certifies before any step, so every case has an
 # eigenvalue base.  Only a base long enough for the real sums takes the Halley
@@ -347,8 +357,7 @@ def test_restart_certifies_a_point_the_first_start_leaves_past_the_fold():
     # m_sc(z/s)/s lies past the fold of the law.  Without the restart at
     # m_sc(z), the guarded steps stalled there and a plain Newton step left
     # the upper half plane (BranchError).
-    lam = eigenvalues_of(sample_matrix(EnsembleSpec(n=1000, kind="goe"),
-                                       derive_stream(14, 1000)))
+    lam = ndtri_goe_spectrum(1000, derive_stream(14, 1000))
     inp = FreeConvInput(4.0, eigenvalues=lam)
     z = np.array([-4.470648162806048 + 1e-6j])
     assert reference_solve_m_t(z[0], inp)[1] == "restarted"
@@ -598,7 +607,7 @@ def test_classical_location_t_goe_base_near_classical():
 
 def test_classical_location_t_pinned_quantile():
     # pinned exactly: the grid and CDF arithmetic must not drift
-    lam = eigenvalues_of(sample_goe(200, derive_stream(11, 0)))
+    lam = ndtri_goe_spectrum(200, derive_stream(11, 0))
     inp = FreeConvInput(theta_sq=0.25, eigenvalues=lam)
     assert classical_location_t(60, 200, inp, grid_points=801) == -0.7084750805217556
     # an index array reads every quantile off one density, with the same bits

@@ -1,12 +1,17 @@
 """Properties every sampler and flow output must have, for any input.
 
-Exact symmetry, the t = 0 identity of the flow, and a fixed count of uniforms
-per call: the count is what keeps stream addressing, and so every artifact,
-independent of the values drawn.  The packed samplers and flow give the dense
-upper triangle byte for byte and leave the stream where the dense path does.
-The uniform profile, held as the scalar 1/n, gives the bytes of the explicit
-1/n matrix, and the cached packed layout is never shared with a caller.  The cached upper-triangle mask fills, gathers
-and lists the packed order exactly as ``triu_indices`` does.
+Exact symmetry, the t = 0 identity of the flow, and a fixed draw per call:
+the sparse kinds take one uniform per upper-triangle entry, while the GOE
+entries and the flow noise take one ziggurat standard normal each, after which
+the stream sits exactly where numpy's ``standard_normal`` of that size leaves
+a twin stream.  That position is what keeps stream addressing, and so every
+artifact, independent of the values drawn.  ``decompose_sample``'s GOE part
+reads the same stretch of the stream at every t.  The packed samplers and flow
+give the dense upper triangle byte for byte and leave the stream where the
+dense path does.  The uniform profile, held as the scalar 1/n, gives the bytes
+of the explicit 1/n matrix, and the cached packed layout is never shared with
+a caller.  The cached upper-triangle mask fills, gathers and lists the packed
+order exactly as ``triu_indices`` does.
 """
 
 import numpy as np
@@ -33,16 +38,25 @@ TIME = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
 
 
 class CountingStream(RngStream):
-    """RngStream that counts the uniforms it hands out; gaussian and
-    bernoulli draws are made of uniforms, so they count too."""
+    """RngStream that counts the uniforms and the ziggurat standard normals it
+    hands out; gaussian and bernoulli draws are made of uniforms, so they
+    count as uniforms."""
 
     def __init__(self, master_seed, stream_index):
         super().__init__(master_seed, stream_index)
-        self.drawn = 0
+        self.drawn = {"uniforms": 0, "normals": 0}
+        normals = self._standard_normal
+
+        def counted(size=None):
+            z = normals(size)
+            self.drawn["normals"] += np.size(z)
+            return z
+
+        self._standard_normal = counted
 
     def uniform(self, size=None):
         u = super().uniform(size)
-        self.drawn += np.size(u)
+        self.drawn["uniforms"] += np.size(u)
         return u
 
 
@@ -68,13 +82,43 @@ def upper_size(n):
     return n * (n + 1) // 2
 
 
+def draws(uniforms=0, normals=0):
+    return {"uniforms": uniforms, "normals": normals}
+
+
+def sample_draws(spec):
+    """What one sample of ``spec`` draws: a ziggurat normal per GOE entry, a
+    uniform per sparse entry."""
+    m = upper_size(spec.n)
+    return draws(normals=m) if spec.kind == "goe" else draws(uniforms=m)
+
+
+def next_uniform(stream, skip=0):
+    stream.uniform(skip)
+    return stream.uniform()
+
+
+def twin_after(seed, index, drawn):
+    """A fresh stream (seed, index) moved past ``drawn``: its uniforms, then
+    numpy's ziggurat ``standard_normal`` of its normals' size on its words."""
+    twin = RngStream(seed, index)
+    twin.uniform(drawn["uniforms"])
+    np.random.Generator(twin._bits).standard_normal(drawn["normals"])
+    return twin
+
+
+def sits_after(stream, seed, index, drawn):
+    return next_uniform(stream) == next_uniform(twin_after(seed, index, drawn))
+
+
 @SETTINGS
 @given(spec=specs(), seed=SEED)
-def test_dense_samplers_are_symmetric_and_draw_one_uniform_per_upper_entry(spec, seed):
+def test_dense_samplers_are_symmetric_and_draw_one_value_per_upper_entry(spec, seed):
     stream = CountingStream(seed, 0)
     h = sample_matrix(spec, stream)
     assert h.shape == (spec.n, spec.n) and is_symmetric(h)
-    assert stream.drawn == upper_size(spec.n)
+    assert stream.drawn == sample_draws(spec)
+    assert sits_after(stream, seed, 0, sample_draws(spec))
 
 
 @SETTINGS
@@ -84,11 +128,11 @@ def test_evolve_is_symmetric_draws_per_upper_entry_and_is_identity_at_t0(spec, s
     stream = CountingStream(seed, 1)
     ht = evolve(h0, flow_for(spec, t), stream)
     assert is_symmetric(ht)
+    drawn = draws(normals=0 if t == 0 else upper_size(spec.n))
+    assert stream.drawn == drawn
+    assert sits_after(stream, seed, 1, drawn)
     if t == 0:
         assert ht.tobytes() == h0.tobytes()
-        assert stream.drawn == 0
-    else:
-        assert stream.drawn == upper_size(spec.n)
 
 
 @SETTINGS
@@ -98,9 +142,20 @@ def test_decompose_sample_is_symmetric_draws_twice_and_is_identity_at_t0(spec, s
     stream = CountingStream(seed, 1)
     fs = decompose_sample(h0, flow_for(spec, t), stream)
     assert all(is_symmetric(h) for h in (fs.h_t, fs.h_t1, fs.goe_part))
-    assert stream.drawn == 2 * upper_size(spec.n)
+    drawn = draws(normals=2 * upper_size(spec.n))
+    assert stream.drawn == drawn
+    assert sits_after(stream, seed, 1, drawn)
     if t == 0:
         assert fs.h_t.tobytes() == h0.tobytes()
+
+
+@SETTINGS
+@given(spec=specs(), seed=SEED, t=st.floats(1e-6, 10.0))
+def test_decompose_sample_reads_the_same_goe_part_at_t0_and_later(spec, seed, t):
+    h0 = sample_matrix(spec, RngStream(seed, 0))
+    parts = [decompose_sample(h0, flow_for(spec, time), RngStream(seed, 1)).goe_part
+             for time in (0.0, t)]
+    assert parts[0].tobytes() == parts[1].tobytes()
 
 
 @st.composite
@@ -114,11 +169,6 @@ def packed_specs(draw):
                         mean_f=draw(st.floats(0.0, 1.0)))
 
 
-def next_uniform(stream, skip=0):
-    stream.uniform(skip)
-    return stream.uniform()
-
-
 @SETTINGS
 @given(spec=packed_specs(), seed=SEED, t=st.floats(1e-6, 10.0))
 def test_packed_sample_and_flow_are_the_dense_upper_triangle(spec, seed, t):
@@ -127,18 +177,18 @@ def test_packed_sample_and_flow_are_the_dense_upper_triangle(spec, seed, t):
     h0 = sample_matrix(spec, dense_stream)
     x0 = _sample_upper(spec, packed_stream)
     assert x0.tobytes() == h0[mask].tobytes()
-    after = next_uniform(RngStream(seed, 0), upper_size(n))
+    after = next_uniform(twin_after(seed, 0, sample_draws(spec)))
     assert next_uniform(packed_stream) == next_uniform(dense_stream) == after
     for params in (flow_for(spec, 0.0), flow_for(spec, t)):
         legs = (
             (evolve, _evolve_upper, 0 if params.t == 0 else upper_size(n)),
             (lambda *a: decompose_sample(*a).h_t, _decompose_upper, 2 * upper_size(n)),
         )
-        for dense, packed, drawn in legs:
+        for dense, packed, normals in legs:
             dense_stream, packed_stream = RngStream(seed, 1), RngStream(seed, 1)
             want = dense(h0, params, dense_stream)[mask]
             assert packed(x0.copy(), params, packed_stream).tobytes() == want.tobytes()
-            after = next_uniform(RngStream(seed, 1), drawn)
+            after = next_uniform(twin_after(seed, 1, draws(normals=normals)))
             assert next_uniform(packed_stream) == next_uniform(dense_stream) == after
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from rmtlab.errors import DegenerateSpectrumError, NumericalError
 from rmtlab.rng import RngStream, derive_stream, trial_map
@@ -49,6 +49,29 @@ def test_gaussian_moments_shifted():
 def test_gaussian_rejects_negative_variance():
     with pytest.raises(ValueError):
         derive_stream(0, 0).gaussian(0.0, -1.0)
+
+
+@pytest.mark.parametrize("mean, variance", [
+    (0.0, np.nan), (0.0, np.inf), (0.0, [1.0, np.nan]), (np.nan, 1.0), (-np.inf, 1.0),
+], ids=["variance-nan", "variance-inf", "variance-array-nan", "mean-nan", "mean-inf"])
+def test_gaussian_rejects_a_non_finite_mean_or_variance(mean, variance):
+    with pytest.raises(ValueError, match="must be finite"):
+        derive_stream(0, 0).gaussian(mean, variance, size=2)
+
+
+def test_ziggurat_tail_beyond_the_base_strip_has_the_normal_law():
+    # numpy's ziggurat draws |x| > r only through its tail branch.  Mass
+    # 2 Phi(-r) ~ 2.6e-4 of 1e7 draws within 5 binomial sd; mean of |x| given
+    # |x| > r, phi(r)/Phi(-r), within 5 standard errors.
+    r, draws, chunk = 3.6541528853610088, 10_000_000, 1_000_000
+    stream = derive_stream(13, 0)
+    chunks = (np.abs(stream._standard_normal(chunk)) for _ in range(draws // chunk))
+    tail = np.concatenate([x[x > r] for x in chunks])
+    p = 2.0 * ndtr(-r)
+    assert abs(tail.size - draws * p) <= 5 * np.sqrt(draws * p * (1 - p))
+    hazard = np.exp(-0.5 * r * r) / np.sqrt(2 * np.pi) / ndtr(-r)
+    sd = np.sqrt(1.0 + r * hazard - hazard * hazard)
+    assert abs(tail.mean() - hazard) <= 5 * sd / np.sqrt(tail.size)
 
 
 def test_bernoulli_endpoints_exact():
