@@ -284,8 +284,10 @@ def _sample_upper(spec: EnsembleSpec, rng: RngStream, fill=_packed):
     The fill runs while the draw's temporaries are alive.  Freeing them
     first puts the (n, n) matrix lower in the heap, and freeing it later
     then lets glibc trim the heap top, which the next sample faults in
-    again: about 1900 page faults a cycle where n = 500 samples alternate
-    with eigensolves and free-convolution solves.
+    again: about 1900 page faults a cycle where n = 500 dense samples
+    alternate with free-convolution solves.  Windowed spectra take the
+    packed values instead and fill a pooled buffer
+    (``spectral._packed_window``), so they allocate no matrix to trim.
     """
     n = spec.n
     if spec.kind == "goe":

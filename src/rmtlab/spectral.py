@@ -17,14 +17,19 @@ thread counts, so this makes every spectrum a function of (config, seed)
 alone, and it leaves ``rng.trial_map``'s worker threads (``--threads``) as the
 only parallelism, with no BLAS threads competing with them for cores.  Where a
 library exports no thread setter, a ``RuntimeWarning`` says that its bytes may
-depend on the BLAS thread count.  Windowed dense solves call LAPACK's dsyevr
-directly and release the GIL for the whole solve, so ``--threads`` scales them
-too.
+depend on the BLAS thread count.  Windowed solves call LAPACK directly, dsyevr
+for dense matrices and dstebz for tridiagonal ones, and release the GIL for the
+whole solve, so ``--threads`` scales them too.  A dense window is solved in a
+pooled Fortran-order buffer.  ``statistics.sample_spectra`` fills that buffer
+straight from the packed draw of a dense kind (``_packed_window``), so its
+windowed trials build no (n, n) matrix.
 """
 
+import contextlib
 import ctypes
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +38,7 @@ import scipy.linalg
 from numpy.linalg import _umath_linalg
 from scipy.linalg import _flapack
 
-from .ensembles import SymmetricTridiagonal
+from .ensembles import SymmetricTridiagonal, _symmetric_from_upper, _upper_mask
 from .errors import DegenerateSpectrumError, NumericalError
 
 __all__ = [
@@ -97,27 +102,37 @@ def _pin_blas_to_one_thread():
 _pin_blas_to_one_thread()
 
 
-def _resolve_dsyevr():
-    """scipy's own LAPACK dsyevr (LP64, gfortran calling convention), or None.
-
-    Arguments: jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
-    ldz, isuppz, work, lwork, iwork, liwork, info, then the hidden lengths of
-    the three character arguments.
-    """
-    routine = _library_symbol(_flapack, ("scipy_dsyevr_", "dsyevr_"))
+def _lapack_routine(name, argtypes):
+    """scipy's own LAPACK routine ``name`` (LP64, gfortran calling convention,
+    so each character argument adds a hidden length at the end), or None."""
+    routine = _library_symbol(_flapack, (f"scipy_{name}_", f"{name}_"))
     if routine is not None:
-        char, array = ctypes.c_char_p, ctypes.c_void_p
-        int_, double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-        routine.argtypes = [
-            char, char, char, int_, array, int_, double, double, int_, int_,
-            double, int_, array, array, int_, array, array, int_, array, int_,
-            int_, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t,
-        ]
+        routine.argtypes = argtypes
         routine.restype = None
     return routine
 
 
-_dsyevr = _resolve_dsyevr()
+_CHAR, _ARRAY, _LEN = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+
+# jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
+# work, lwork, iwork, liwork, info
+_dsyevr = _lapack_routine("dsyevr", [
+    _CHAR, _CHAR, _CHAR, _INT, _ARRAY, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
+    _DOUBLE, _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT,
+    _INT, _LEN, _LEN, _LEN,
+])
+# range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit,
+# work, iwork, info
+_dstebz = _lapack_routine("dstebz", [
+    _CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _ARRAY, _ARRAY,
+    _INT, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT, _LEN, _LEN,
+])
+
+
+def _int(value):
+    """A Fortran INTEGER argument: a reference to a fresh C int."""
+    return ctypes.byref(ctypes.c_int(value))
 
 
 def _call_dsyevr(a, il, iu, w, work, lwork, iwork, liwork):
@@ -130,17 +145,13 @@ def _call_dsyevr(a, il, iu, w, work, lwork, iwork, liwork):
     n = a.shape[0]
     m, info = ctypes.c_int(), ctypes.c_int()
     zero = ctypes.byref(ctypes.c_double(0.0))
-
-    def int_(value):
-        return ctypes.byref(ctypes.c_int(value))
-
     # jobz 'N' reads neither z nor isuppz; they get the sizes LAPACK documents
     z, isuppz = np.empty(1), np.empty(2 * n, dtype=np.int32)
     _dsyevr(
-        b"N", b"I", b"L", int_(n), a.ctypes.data, int_(n), zero, zero,
-        int_(il), int_(iu), zero, ctypes.byref(m), w.ctypes.data,
-        z.ctypes.data, int_(1), isuppz.ctypes.data, work.ctypes.data,
-        int_(lwork), iwork.ctypes.data, int_(liwork), ctypes.byref(info), 1, 1, 1,
+        b"N", b"I", b"L", _int(n), a.ctypes.data, _int(n), zero, zero,
+        _int(il), _int(iu), zero, ctypes.byref(m), w.ctypes.data,
+        z.ctypes.data, _int(1), isuppz.ctypes.data, work.ctypes.data,
+        _int(lwork), iwork.ctypes.data, _int(liwork), ctypes.byref(info), 1, 1, 1,
     )
     return m.value, info.value
 
@@ -160,27 +171,132 @@ def _dsyevr_workspace(n):
     return int(work[0]), int(iwork[0])
 
 
-def _dsyevr_window(a, lo, hi):
-    """Eigenvalues lo..hi of a dense symmetric matrix from one dsyevr call.
+# (n, lwork, liwork) -> free (a, work, iwork) triples: a Fortran-order (n, n)
+# matrix buffer and dsyevr's workspace, kept across calls and thread pools
+_dsyevr_pool = {}
+_dsyevr_pool_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _dsyevr_buffers(n):
+    """Lend an (a, work, iwork) triple for one dsyevr call at size n.
+
+    The pool is keyed by the workspace sizes as well as n, so a triple is only
+    ever reused at the sizes ``_dsyevr_workspace(n)`` gives now.
+    """
+    key = (n, *_dsyevr_workspace(n))
+    with _dsyevr_pool_lock:
+        free = _dsyevr_pool.setdefault(key, [])
+        buffers = free.pop() if free else None
+    if buffers is None:
+        _, lwork, liwork = key
+        buffers = (np.empty((n, n), order="F"), np.empty(lwork),
+                   np.empty(liwork, dtype=np.int32))
+    try:
+        yield buffers
+    finally:
+        with _dsyevr_pool_lock:
+            _dsyevr_pool[key].append(buffers)
+
+
+def _dsyevr_window(n, lo, hi, fill):
+    """Eigenvalues lo..hi of the symmetric matrix whose lower triangle
+    ``fill(a)`` writes into a pooled Fortran-order (n, n) buffer ``a``, from
+    one dsyevr call.
 
     The routine, its library, its arguments and its workspace are those of
     ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``, and so are the
     bits; but a ctypes call releases the GIL for the whole solve, so the
     solves of ``rng.trial_map``'s worker threads run at the same time.
     """
-    a = np.array(a, dtype=np.float64, order="F")
+    w = np.empty(n)
+    with _dsyevr_buffers(n) as (a, work, iwork):
+        fill(a)
+        m, info = _call_dsyevr(a, lo + 1, hi + 1, w, work, work.size, iwork, iwork.size)
+    if info != 0:
+        raise NumericalError(f"LAPACK dsyevr failed with info {info}")
+    return w[:m]
+
+
+def _dense_window(a, lo, hi):
+    """Eigenvalues lo..hi of the dense symmetric matrix ``a``, copied into a
+    pooled buffer."""
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
-    lwork, liwork = _dsyevr_workspace(n)
-    w = np.empty(n)
-    m, info = _call_dsyevr(a, lo + 1, hi + 1, w, np.empty(lwork), lwork,
-                           np.empty(liwork, dtype=np.int32), liwork)
-    if info != 0:
-        raise NumericalError(f"LAPACK dsyevr failed with info {info}")
-    return w[:m]
+    if _dsyevr is None:
+        return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
+
+    def fill(buf):
+        buf[...] = a
+
+    return _dsyevr_window(a.shape[0], lo, hi, fill)
+
+
+def _packed_window(n, values, select):
+    """``eigenvalues_of(_symmetric_from_upper(n, values), select)`` without the
+    (n, n) matrix: the packed upper triangle ``values`` is written straight
+    into the lower triangle of a pooled Fortran-order buffer (the C-order
+    upper triangle is the Fortran-order lower one), which is all that dsyevr
+    reads.  Only the n(n+1)/2 packed values are checked for finiteness.
+    """
+    lo, hi = _index_window(select, n)
+    if not np.isfinite(values).all():
+        raise ValueError("matrix entries must be finite")
+    if _dsyevr is None:
+        return scipy.linalg.eigvalsh(_symmetric_from_upper(n, values),
+                                     subset_by_index=(lo, hi))
+
+    def fill(a):
+        a.T[_upper_mask(n)] = values
+
+    return _dsyevr_window(n, lo, hi, fill)
+
+
+def _tridiagonal_window(t, lo, hi):
+    """Eigenvalues lo..hi of a ``SymmetricTridiagonal`` from one dstebz call.
+
+    The arguments (range 'I', order 'E', abstol 0) and the validation are
+    those of ``scipy.linalg.eigvalsh_tridiagonal(d, e, select="i",
+    select_range=(lo, hi))``, and so are the bits; but a ctypes call releases
+    the GIL for the whole solve.
+    """
+    if _dstebz is None:
+        return scipy.linalg.eigvalsh_tridiagonal(
+            t.diag, t.offdiag, select="i", select_range=(lo, hi)
+        )
+    d = np.ascontiguousarray(t.diag, dtype=np.float64)
+    e = np.ascontiguousarray(t.offdiag, dtype=np.float64)
+    if d.ndim != 1 or e.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    n = d.size
+    if e.size != n - 1:
+        raise ValueError(f"d ({n}) must have one more element than e ({e.size})")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    zero = ctypes.byref(ctypes.c_double(0.0))
+    w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int32)
+    _dstebz(
+        b"I", b"E", _int(n), zero, zero, _int(lo + 1), _int(hi + 1), zero,
+        d.ctypes.data, e.ctypes.data, ctypes.byref(m), ctypes.byref(nsplit),
+        w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data,
+        iwork.ctypes.data, ctypes.byref(info), 1, 1,
+    )
+    if info.value != 0:
+        raise NumericalError(f"LAPACK dstebz failed with info {info.value}")
+    return w[:m.value]
+
+
+def _index_window(select, n):
+    """``select`` as 0-based ints (lo, hi); ValueError unless 0 <= lo <= hi < n."""
+    lo, hi = (int(k) for k in select)
+    if not 0 <= lo <= hi < n:
+        raise ValueError(f"select {select} outside indices 0..{n - 1}")
+    return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,28 +350,26 @@ def eigenvalues_of(a, select=None):
 
     ``a`` is a dense symmetric array or a ``SymmetricTridiagonal``.  With
     ``select=(lo, hi)`` only eigenvalues lo..hi (0-based, inclusive) are
-    computed and returned, as an array of length hi - lo + 1.  A dense window
-    calls LAPACK's dsyevr directly, with the bits of
-    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``, and releases the
-    GIL for the whole solve, so ``--threads`` scales these solves; a
-    non-finite entry or a non-square ``a`` raises ValueError before LAPACK
-    runs, and a nonzero LAPACK ``info`` raises NumericalError.
+    computed and returned, as an array of length hi - lo + 1.  A window calls
+    LAPACK directly and releases the GIL for the whole solve, so ``--threads``
+    scales these solves.  A dense window copies ``a`` into a pooled
+    Fortran-order buffer for one dsyevr call, with the bits of
+    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``; a non-finite
+    entry or a non-square ``a`` raises ValueError before LAPACK runs.  A
+    tridiagonal window is one dstebz call, with the bits and the validation
+    of ``scipy.linalg.eigvalsh_tridiagonal(diag, offdiag, select="i",
+    select_range=(lo, hi))``.  A nonzero LAPACK ``info`` raises
+    NumericalError.
     """
     tridiagonal = isinstance(a, SymmetricTridiagonal)
     if select is None:
         if tridiagonal:
             return scipy.linalg.eigvalsh_tridiagonal(a.diag, a.offdiag)
         return np.linalg.eigvalsh(a)
-    lo, hi = (int(k) for k in select)
-    if not 0 <= lo <= hi < a.shape[0]:
-        raise ValueError(f"select {select} outside indices 0..{a.shape[0] - 1}")
+    lo, hi = _index_window(select, a.shape[0])
     if tridiagonal:
-        return scipy.linalg.eigvalsh_tridiagonal(
-            a.diag, a.offdiag, select="i", select_range=(lo, hi)
-        )
-    if _dsyevr is None:
-        return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
-    return _dsyevr_window(a, lo, hi)
+        return _tridiagonal_window(a, lo, hi)
+    return _dense_window(a, lo, hi)
 
 
 def stieltjes_empirical(spectrum, z):

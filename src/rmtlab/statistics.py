@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_goe_tridiagonal, sample_matrix
+from .ensembles import EnsembleSpec, _sample_upper, sample_goe_tridiagonal, sample_matrix
 from .flow import evolve
 from .rng import derive_stream, trial_map
 from .spectral import (
+    _index_window,
+    _packed_window,
     bulk_indices,
     classical_location,
     eigenvalues_of,
@@ -185,18 +187,25 @@ def sample_spectra(spec: EnsembleSpec, trials, seed, *, stream_base=0,
 
     Row k is ``eigenvalues_of(draw(derive_stream(seed, stream_base + k)),
     select=select)``: the whole spectrum, or only indices lo..hi for
-    ``select=(lo, hi)``.  Rows come back in trial order at any thread count.
-    GOE is drawn from the tridiagonal model (the dense GOE's eigenvalue law
-    at a fraction of the cost); every other kind by ``sample_matrix``.
+    ``select=(lo, hi)``, which must lie in 0..n-1 (ValueError before any
+    draw).  Rows come back in trial order at any thread count.  GOE is drawn
+    from the tridiagonal model (the dense GOE's eigenvalue law at a fraction
+    of the cost); every other kind by ``sample_matrix``, except that a window
+    of those kinds is solved straight from the packed draw, with the same
+    bits and no (n, n) matrix built.
     """
+    if select is not None:
+        select = _index_window(select, spec.n)
     if spec.kind == "goe":
-        draw = functools.partial(sample_goe_tridiagonal, spec.n)
+        draw, solve = functools.partial(sample_goe_tridiagonal, spec.n), eigenvalues_of
+    elif select is None:
+        draw, solve = functools.partial(sample_matrix, spec), eigenvalues_of
     else:
-        draw = functools.partial(sample_matrix, spec)
+        draw = functools.partial(_sample_upper, spec)
+        solve = functools.partial(_packed_window, spec.n)
 
     def one(k):
-        return eigenvalues_of(draw(derive_stream(seed, stream_base + k)),
-                              select=select)
+        return solve(draw(derive_stream(seed, stream_base + k)), select=select)
 
     return np.array(trial_map(one, trials, threads))
 

@@ -1,11 +1,13 @@
 import ctypes
 import json
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.linalg import _umath_linalg
 from scipy.integrate import quad
 from scipy.linalg import _flapack
@@ -13,13 +15,17 @@ from scipy.linalg import _flapack
 import rmtlab.spectral as spectral
 from rmtlab.ensembles import (
     EnsembleSpec,
+    SymmetricTridiagonal,
+    _sample_upper,
+    _symmetric_from_upper,
+    _upper_mask,
     sample_goe,
     sample_goe_tridiagonal,
     sample_matrix,
 )
 from rmtlab.cli import main as cli_main
 from rmtlab.errors import DegenerateSpectrumError, NumericalError
-from rmtlab.rng import derive_stream
+from rmtlab.rng import derive_stream, trial_map
 from rmtlab.spectral import (
     DeformationSelector,
     bulk_indices,
@@ -130,10 +136,12 @@ def test_dense_windows_call_lapack_directly_on_the_wheels():
 
 
 def test_dense_windows_fall_back_to_scipy_with_the_same_bytes(monkeypatch):
-    h = sample_matrix(EnsembleSpec(n=80, kind="erdos_renyi"), derive_stream(5, 0))
+    values = _sample_upper(EnsembleSpec(n=80, kind="erdos_renyi"), derive_stream(5, 0))
+    h = _symmetric_from_upper(80, values)
     direct = eigenvalues_of(h, select=(39, 40))
     monkeypatch.setattr(spectral, "_dsyevr", None)
     assert eigenvalues_of(h, select=(39, 40)).tobytes() == direct.tobytes()
+    assert spectral._packed_window(80, values, (39, 40)).tobytes() == direct.tobytes()
 
 
 def _lapack_must_not_run(*args):
@@ -147,6 +155,8 @@ def test_dense_window_rejects_non_finite_entries_before_lapack(monkeypatch, bad)
     h[3, 7] = h[7, 3] = bad
     with pytest.raises(ValueError, match="finite"):
         eigenvalues_of(h, select=(4, 5))
+    with pytest.raises(ValueError, match="finite"):
+        spectral._packed_window(10, h[_upper_mask(10)], (4, 5))
 
 
 def test_dense_window_rejects_a_non_square_matrix_before_lapack(monkeypatch):
@@ -169,6 +179,114 @@ def test_dense_window_lapack_failure_names_info_and_exits_3(monkeypatch, tmp_pat
                      "--out", str(tmp_path / "out")]) == 3
     assert "info -18" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["erdos_renyi", "sparse_generic"])
+def test_packed_windows_have_the_bytes_of_the_filled_matrix(kind):
+    for n in (2, 37, 64):
+        values = _sample_upper(EnsembleSpec(n=n, kind=kind), derive_stream(9, n))
+        h = _symmetric_from_upper(n, values)
+        for window in ((0, n - 1), (n // 2 - 1, n // 2), (n - 1, n - 1)):
+            got = spectral._packed_window(n, values, window)
+            assert got.tobytes() == _scipy_window(h, window).tobytes()
+
+
+def test_pooled_windows_of_two_sizes_on_three_threads_equal_the_serial_loop():
+    specs = [EnsembleSpec(n=40, kind="erdos_renyi"),
+             EnsembleSpec(n=64, kind="sparse_generic")]
+
+    def draw(k):
+        spec = specs[k % 2]
+        n = spec.n
+        return n, _sample_upper(spec, derive_stream(8, k)), (n // 2 - 1, n // 2 + 2)
+
+    def one(k):
+        n, values, window = draw(k)
+        dense = eigenvalues_of(_symmetric_from_upper(n, values), select=window)
+        return dense.tobytes(), spectral._packed_window(n, values, window).tobytes()
+
+    expect = []
+    for k in range(24):
+        n, values, window = draw(k)
+        ref = _scipy_window(_symmetric_from_upper(n, values), window).tobytes()
+        expect.append((ref, ref))
+    # more threads than cores, switching often: two solves sharing one pooled
+    # buffer would corrupt each other's window
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert trial_map(one, 24, threads=3) == expect
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_pool_still_solves_after_a_failed_solve(monkeypatch):
+    values = _sample_upper(EnsembleSpec(n=10, kind="erdos_renyi"), derive_stream(6, 0))
+    h = _symmetric_from_upper(10, values)
+    monkeypatch.setattr(spectral, "_dsyevr_workspace", lambda n: (1, 1))
+    for solve in (lambda: eigenvalues_of(h, select=(4, 5)),
+                  lambda: spectral._packed_window(10, values, (4, 5))):
+        with pytest.raises(NumericalError, match="info -18"):
+            solve()
+    monkeypatch.undo()
+    ref = _scipy_window(h, (4, 5)).tobytes()
+    assert eigenvalues_of(h, select=(4, 5)).tobytes() == ref
+    assert spectral._packed_window(10, values, (4, 5)).tobytes() == ref
+
+
+def test_tridiagonal_windows_call_lapack_directly_on_the_wheels():
+    # scipy's PyPI wheels export their OpenBLAS's dstebz as scipy_dstebz_
+    assert spectral._dstebz is not None
+
+
+@st.composite
+def tridiagonal_windows(draw):
+    n = draw(st.integers(1, 64))
+    band = st.floats(-1e3, 1e3)
+    d = draw(hnp.arrays(np.float64, n, elements=band))
+    e = draw(hnp.arrays(np.float64, n - 1, elements=band))
+    lo = draw(st.integers(0, n - 1))
+    return SymmetricTridiagonal(d, e), (lo, draw(st.integers(lo, n - 1)))
+
+
+def _scipy_tridiagonal_window(t, window):
+    return scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag, select="i",
+                                             select_range=window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tridiagonal_windows())
+def test_tridiagonal_windows_have_the_bytes_of_scipys_eigvalsh_tridiagonal(case):
+    t, window = case
+    expect = _scipy_tridiagonal_window(t, window)
+    assert eigenvalues_of(t, select=window).tobytes() == expect.tobytes()
+
+
+def test_tridiagonal_windows_fall_back_to_scipy_with_the_same_bytes(monkeypatch):
+    t = sample_goe_tridiagonal(300, derive_stream(5, 0))
+    direct = eigenvalues_of(t, select=(149, 150))
+    monkeypatch.setattr(spectral, "_dstebz", None)
+    assert eigenvalues_of(t, select=(149, 150)).tobytes() == direct.tobytes()
+    assert direct.tobytes() == _scipy_tridiagonal_window(t, (149, 150)).tobytes()
+
+
+@pytest.mark.parametrize("band", ["diag", "offdiag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tridiagonal_window_rejects_non_finite_bands_before_lapack(monkeypatch, band, bad):
+    monkeypatch.setattr(spectral, "_dstebz", _lapack_must_not_run)
+    t = sample_goe_tridiagonal(10, derive_stream(6, 0))
+    getattr(t, band)[3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigenvalues_of(t, select=(4, 5))
+
+
+@pytest.mark.parametrize("length", [8, 10])
+def test_tridiagonal_window_rejects_a_wrong_offdiag_length_before_lapack(monkeypatch,
+                                                                        length):
+    monkeypatch.setattr(spectral, "_dstebz", _lapack_must_not_run)
+    t = SymmetricTridiagonal(np.zeros(10), np.ones(length))
+    with pytest.raises(ValueError, match="one more element"):
+        eigenvalues_of(t, select=(4, 5))
 
 
 def test_stieltjes_two_point():

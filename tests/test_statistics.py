@@ -548,6 +548,15 @@ def test_sample_spectra_equals_the_serial_reference_loop(kind, n, trials, seed,
             assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("kind", sorted(_PIPELINE_SPECS))
+@pytest.mark.parametrize("window", [(-1, 2), (3, 2), (0, 30)])
+def test_sample_spectra_rejects_a_bad_window_before_sampling(monkeypatch, kind, window):
+    streams = counting(monkeypatch, "derive_stream")
+    with pytest.raises(ValueError, match="select"):
+        sample_spectra(_PIPELINE_SPECS[kind](30), 4, 1, threads=2, select=window)
+    assert streams == []
+
+
 @settings(max_examples=4, deadline=None)
 @given(kind=st.sampled_from(sorted(_PIPELINE_SPECS)), n=st.integers(8, 24),
        trials=st.integers(2, 5), seed=st.integers(0, 2 ** 64 - 1),
