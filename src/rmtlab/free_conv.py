@@ -6,15 +6,15 @@ The deformed Stieltjes transform m_t solves the self-consistent equation
 
 where m_0 is either the empirical transform of an explicit eigenvalue list or
 the analytic semicircle transform.  Every point starts at m_sc(z/s)/s with
-s^2 = 1 + theta^2, the law of a semicircle base, and takes guarded Newton
-steps in a block of points, the first a Halley step where the start's
-evaluation gave m_0''.  A step is taken where it is finite, stays in the upper
-half plane and lowers the residual, else the damped step m/2 + m_0/2.  A point
-usually certifies within about three evaluations (2.5 after a Halley step),
-and on the semicircle base at the first.  Points that MAX_GUARDED steps leave
-unconverged start again at m_sc(z) for as many more, then go on with damped
-and plain Newton steps.  Every stage exits on the same certificate, residual
-at most 1e-12, and a point in a block gets the bits of a solve there alone.
+s^2 = 1 + theta^2, the law of a semicircle base.  All points of a call then
+take guarded Newton steps in one loop, the first a Halley step where the
+start's evaluation gave m_0''.  A step is taken where it is finite, stays in
+the upper half plane and lowers the residual, else the damped step m/2 + m_0/2.
+A point usually certifies within about three evaluations (2.5 after a Halley
+step), and on the semicircle base at the first.  Points that MAX_GUARDED steps
+leave unconverged start again at m_sc(z) for as many more, then go on with
+damped and plain Newton steps.  Every stage exits on the same certificate,
+residual at most 1e-12, and each point gets the bits of a solve there alone.
 
 On a base of REAL_SUMS_MIN_N or more eigenvalues, m_0^(k) = k! mean(q^(k+1)),
 q = 1/(lambda - w), are real sums over d = lambda - x, r = 1/(d^2 + y^2) at
@@ -52,8 +52,9 @@ MAX_FIXED_POINT = 200
 MAX_NEWTON = 100
 DEFAULT_INVERSION_ETA = 1e-4
 MASS_DEFICIT_TOL = 1e-3
-# Points per block: one m0 call's (points x eigenvalues) work, at 16 bytes a
-# pair, stays near 1 MiB; wider blocks leave the cache and gain less.
+# The m0 kernels walk their points in chunks whose (points x eigenvalues)
+# work, at 16 bytes a pair, stays near 1 MiB; wider chunks leave the cache.
+# Read at each call, never cached, so that a changed value takes effect.
 BLOCK_BYTES = 1 << 20
 # Shorter bases keep the complex pass: on short rows the real sums' extra
 # numpy calls per evaluation cost more than their cheaper arithmetic saves.
@@ -89,10 +90,14 @@ class FreeConvInput:
             return m, m * m / (1.0 - m * m)
         if self.real_sums:
             return self._real_moments(w, 1)
-        q = self.eigenvalues - w[:, None]
-        np.divide(1.0, q, out=q)
-        n = self.eigenvalues.size
-        return q.sum(axis=-1) / n, np.einsum("ij,ij->i", q, q) / n
+        lam, n = self.eigenvalues, self.eigenvalues.size
+        out = np.empty((2, w.size), dtype=complex)
+        for part in _chunks(w.size, n):
+            q = lam - w[part, None]
+            np.divide(1.0, q, out=q)
+            out[0, part], out[1, part] = q.sum(axis=-1), np.einsum("ij,ij->i", q, q)
+        out /= n
+        return tuple(out)
 
     def m0_jet(self, w):
         """(m_0, m_0', m_0'') from the real sums, for a solve's Halley start."""
@@ -105,21 +110,30 @@ class FreeConvInput:
                 and self.eigenvalues.size >= REAL_SUMS_MIN_N)
 
     def _real_moments(self, w, order):
-        # Row reductions, never BLAS, which can sum a row of a block in
-        # another order than the row alone; d r and r share one buffer.
+        # Row reductions, never BLAS, which can sum a row of a chunk in
+        # another order than the row alone; d r and r share one buffer.  The
+        # in-place and square forms round as lam - x and d * d do, and run
+        # faster than those on a broadcast or repeated operand.
         lam, n, y = self.eigenvalues, self.eigenvalues.size, w.imag
-        d, r = dr = np.empty((2, w.size, n))
-        np.subtract(lam, w.real[:, None], out=d)
-        np.multiply(d, d, out=r)
-        r += (y * y)[:, None]
-        np.divide(1.0, r, out=r)
-        d *= r
-        (s_d, s_r), (s_drr, s_rr) = dr.sum(axis=-1), np.einsum("kij,ij->ki", dr, r)
+        yy = y * y
+        sums = np.empty((2 * order + 2, w.size))
+        for part in _chunks(w.size, n):
+            d, r = dr = np.empty((2, yy[part].size, n))
+            d[...] = lam
+            d -= w.real[part, None]
+            np.square(d, out=r)
+            r += yy[part, None]
+            np.divide(1.0, r, out=r)
+            d *= r
+            sums[0:2, part], sums[2:4, part] = dr.sum(axis=-1), np.einsum("kij,ij->ki", dr, r)
+            if order == 2:
+                sums[4:6, part] = np.einsum("kij,ij->ki", dr, np.square(r))
+        s_d, s_r, s_drr, s_rr = sums[:4]
         out = np.empty((order + 1, w.size), dtype=complex)
         out.real[0], out.imag[0] = s_d, y * s_r
         out.real[1], out.imag[1] = s_r - 2.0 * y * y * s_rr, 2.0 * y * s_drr
         if order == 2:
-            s_drrr, s_rrr = np.einsum("kij,ij->ki", dr, r * r)
+            s_drrr, s_rrr = sums[4:]
             out.real[2] = 2.0 * (s_drr - 4.0 * y * y * s_drrr)
             out.imag[2] = 2.0 * y * (3.0 * s_rr - 4.0 * y * y * s_rrr)
         out /= n
@@ -140,29 +154,32 @@ def solve_m_t(z, inp: FreeConvInput):
 
     z is one point, giving a complex, or an array of points, giving a complex
     array of its shape; each point gets the value a solve there alone gives.
+    All points take their steps in one loop, which holds about 270 bytes of
+    state per point; each m0 call walks its points in chunks of about
+    BLOCK_BYTES of work.
     """
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zs)):
         raise ValueError("z must be finite")
     if np.any(zs.imag <= 0):
         raise ValueError("Im z must be positive")
-    flat = zs.reshape(-1)
-    out = np.empty_like(flat)
-    lam_size = 1 if inp.eigenvalues is None else inp.eigenvalues.size
-    block = max(1, BLOCK_BYTES // (16 * lam_size))
-    for k in range(0, flat.size, block):
-        out[k:k + block] = _solve_block(flat[k:k + block], inp)
-    return out.reshape(zs.shape)[()]
+    return _solve(zs.reshape(-1), inp).reshape(zs.shape)[()]
 
 
-def _solve_block(z, inp):
+def _chunks(points, n):
+    """Slices of at most BLOCK_BYTES // (16 n) points covering range(points)."""
+    rows = max(1, BLOCK_BYTES // (16 * n))
+    return [slice(k, k + rows) for k in range(0, points, rows)]
+
+
+def _solve(z, inp):
     v = inp.theta_sq
     if v == 0.0:
         return inp.m0(z)[0]
 
     # Each evaluation gives f = m0(w) and fp = m0'(w) at w = z + v m, so
     # F = m - f is the residual of m and F' = 1 - v fp its derivative.  A point
-    # leaves the block once |F| <= tol, or once a Newton iterate leaves the
+    # leaves the loop once |F| <= tol, or once a Newton iterate leaves the
     # upper half plane; the step rules take their turns under their budgets.
     rules = ([_guarded_step] * MAX_GUARDED + [_restart_step] + [_guarded_step] * MAX_GUARDED
              + [_damped_step] * MAX_FIXED_POINT + [_newton_step] * MAX_NEWTON)

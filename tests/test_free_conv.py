@@ -86,14 +86,14 @@ def damped_oracle_m_t(z, inp, tol=RESIDUAL_TOL):
 
 
 def reference_solve_m_t(z, inp):
-    """The block solver one point at a time: returns (m_t(z), the stage that
+    """The array solver one point at a time: returns (m_t(z), the stage that
     certified it: "start", "halley", "guarded", "restarted", "damped" or
     "newton")."""
     lam, v, tol = inp.eigenvalues, inp.theta_sq, free_conv.RESIDUAL_TOL
 
     def moments(w, order=1):
         # m0 and its first order derivatives on one-element arrays, as the
-        # block solver evaluates a lone point: the complex pass q = 1/(lam - w)
+        # array solver evaluates a lone point: the complex pass q = 1/(lam - w)
         # for m0 and m0' at theta^2 = 0 and on a short base, else real sums
         # over d = lam - x and r = 1/(d^2 + y^2) at w = x + iy
         w = np.array([w])
@@ -122,7 +122,7 @@ def reference_solve_m_t(z, inp):
         with np.errstate(all="ignore"):
             return m - (m - f) / (1.0 - v * fp)
 
-    # numpy scalars: a complex quotient of two numpy values rounds as the block
+    # numpy scalars: a complex quotient of two numpy values rounds as the array
     # solver's array arithmetic does, one of two Python complex values need
     # not; a product of two complex values is taken on one-element arrays,
     # since numpy's scalar product can round differently from its array one
@@ -216,7 +216,7 @@ def ndtri_goe_spectrum(n, stream):
     return eigenvalues_of(_symmetric_from_upper(n, stream.gaussian(0.0, variance, variance.size)))
 
 
-# One point certified in each stage of the block loop.  The semicircle base
+# One point certified in each stage of the step loop.  The semicircle base
 # starts at its exact law and certifies before any step, so every case has an
 # eigenvalue base.  Only a base long enough for the real sums takes the Halley
 # step, which certifies where the start is already close to the law: here
@@ -391,6 +391,24 @@ def test_block_solver_matches_the_point_solver_bit_for_bit(base, theta_sq, eta,
         got = solve_m_t(z, inp)
     assert bits(got) == bits(expected)
     assert bits([solve_m_t(zk, inp) for zk in z]) == bits(expected)
+
+
+# Energies on the ER n=300 base (q = n^0.3) at theta^2 4 and eta 1e-6 whose
+# lone solves certify in the guarded, the restarted, the damped and the Newton
+# stage: the upper three sit just inside the upper edge of the deformed support.
+STALL_ENERGIES = {-4.74: "guarded", 0.0: "guarded", 6.931: "restarted", 6.94: "damped",
+                  6.949: "newton"}
+
+
+@pytest.mark.parametrize("chunk_points", [1, 2, 3])
+def test_one_loop_matches_the_point_solver_in_the_stall_regime(monkeypatch, chunk_points):
+    inp = FreeConvInput(4.0, eigenvalues=sample_spectrum(300, "erdos_renyi"))
+    z = np.array([complex(e, 1e-6) for e in STALL_ENERGIES])
+    expected = [reference_solve_m_t(zk, inp) for zk in z]
+    assert [stage for _, stage in expected] == list(STALL_ENERGIES.values())
+    # chunks of chunk_points points, so that chunk edges fall between the stages
+    monkeypatch.setattr(free_conv, "BLOCK_BYTES", 16 * 300 * chunk_points)
+    assert bits(solve_m_t(z, inp)) == bits([m for m, _ in expected])
 
 
 @settings(max_examples=40, deadline=None)
@@ -720,13 +738,20 @@ def test_grid_callers_reject_a_nan_energy_or_eta():
             deviation_report(inp, np.array([0.0, np.nan]), eta=0.1)
 
 
-def test_array_solve_raises_the_first_failing_points_error(monkeypatch):
+@pytest.mark.parametrize("chunk_points", [None, 1, 2])
+def test_array_solve_raises_the_first_failing_points_error(monkeypatch, chunk_points):
     # tol = 0 cannot be certified at 0.3 + 0.05i or at 0.5 + 0.05i (at many
     # points it can: a Newton step may leave residual exactly 0, as it does at
-    # NEWTON_Z), so both fail in the Newton stage, in one block, and the first
-    # of them raises
+    # NEWTON_Z), so both fail in the Newton stage and the first of them raises,
+    # whether the m0 kernels take the three points in one chunk or put the
+    # two failing ones in different chunks
     monkeypatch.setattr(free_conv, "RESIDUAL_TOL", 0.0)
+    if chunk_points is not None:
+        monkeypatch.setattr(free_conv, "BLOCK_BYTES", 16 * len(NEWTON_BASE) * chunk_points)
     inp = FreeConvInput(NEWTON_THETA_SQ, eigenvalues=np.array(NEWTON_BASE))
+    with pytest.raises(FixedPointError) as lone:
+        solve_m_t(0.3 + 0.05j, inp)
     with pytest.raises(FixedPointError, match=r"z = \(0\.3\+0\.05j\)") as err:
         solve_m_t(np.array([0.3 + 0.05j, NEWTON_Z, 0.5 + 0.05j]), inp)
     assert err.value.residual > 0
+    assert err.value.residual == lone.value.residual
