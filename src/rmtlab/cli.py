@@ -21,6 +21,10 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="rmtlab",
         description="Run one random-matrix experiment from a JSON config.",
+        epilog="Artifacts are a function of (config, seed) for one numpy/scipy/OpenBLAS "
+               "build and OpenBLAS kernel; --threads and --out never change a byte. GOE "
+               "spectra, which are tridiagonal solves, and free-conv runs on the "
+               "semicircle, the atom or a sampled GOE base do not depend on the kernel.",
     )
     parser.add_argument("experiment", choices=EXPERIMENT_KINDS)
     parser.add_argument("--config", help="JSON config file; optional for kinds "

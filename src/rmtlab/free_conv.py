@@ -7,20 +7,20 @@ The deformed Stieltjes transform m_t solves the self-consistent equation
 where m_0 is either the empirical transform of an explicit eigenvalue list or
 the analytic semicircle transform.  Every point starts at m_sc(z/s)/s with
 s^2 = 1 + theta^2, the law of a semicircle base.  All points of a call then
-take guarded Newton steps in one loop, the first a Halley step where the
-start's evaluation gave m_0''.  A step is taken where it is finite, stays in
-the upper half plane and lowers the residual, else the damped step m/2 + m_0/2.
-A point usually certifies within about three evaluations (2.5 after a Halley
-step), and on the semicircle base at the first.  Points that MAX_GUARDED steps
-leave unconverged start again at m_sc(z) for as many more, then go on with
-damped and plain Newton steps.  Every stage exits on the same certificate,
-residual at most 1e-12, and each point gets the bits of a solve there alone.
+take guarded Newton steps in one loop, the first a Halley step on an
+eigenvalue base, whose start's evaluation also gives m_0''.  A step is taken
+where it is finite, stays in the upper half plane and lowers the residual,
+else the damped step m/2 + m_0/2.  A point usually certifies within about 2.5
+evaluations, and on the semicircle base at the first.  Points that MAX_GUARDED
+steps leave unconverged start again at m_sc(z) for as many more, then go on
+with damped and plain Newton steps.  Every stage exits on the same
+certificate, residual at most 1e-12, and each point gets the bits of a solve
+there alone.
 
-On a base of REAL_SUMS_MIN_N or more eigenvalues, m_0^(k) = k! mean(q^(k+1)),
-q = 1/(lambda - w), are real sums over d = lambda - x, r = 1/(d^2 + y^2) at
-w = x + iy: q = (d + iy) r, q^2 = r - 2y^2 r^2 + 2iy d r^2 and q^3 = d r^2 -
-4y^2 d r^3 + i(3y r^2 - 4y^3 r^3).  Only such a base takes the Halley step; a
-shorter one, and theta^2 = 0, sum m_0 and m_0' in one complex pass.
+On an eigenvalue base, m_0^(k) = k! mean(q^(k+1)), q = 1/(lambda - w), are
+real sums over d = lambda - x, r = 1/(d^2 + y^2) at w = x + iy: q = (d + iy) r,
+q^2 = r - 2y^2 r^2 + 2iy d r^2 and q^3 = d r^2 - 4y^2 d r^3 + i(3y r^2 -
+4y^3 r^3).
 
 Densities come from Stieltjes inversion, rho_t(E) = Im m_t(E + i eta)/pi, and
 classical locations from quantiles of the numerically integrated density.
@@ -56,9 +56,9 @@ MASS_DEFICIT_TOL = 1e-3
 # work, at 16 bytes a pair, stays near 1 MiB; wider chunks leave the cache.
 # Read at each call, never cached, so that a changed value takes effect.
 BLOCK_BYTES = 1 << 20
-# Shorter bases keep the complex pass: on short rows the real sums' extra
-# numpy calls per evaluation cost more than their cheaper arithmetic saves.
-REAL_SUMS_MIN_N = 256
+# solve_m_t hands the step loop its points in slabs of this many, so that a
+# solve's state stays near 1 MiB however long its grid.
+SLAB_POINTS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,26 +88,11 @@ class FreeConvInput:
         if self.eigenvalues is None:
             m = m_sc(w)
             return m, m * m / (1.0 - m * m)
-        if self.real_sums:
-            return self._real_moments(w, 1)
-        lam, n = self.eigenvalues, self.eigenvalues.size
-        out = np.empty((2, w.size), dtype=complex)
-        for part in _chunks(w.size, n):
-            q = lam - w[part, None]
-            np.divide(1.0, q, out=q)
-            out[0, part], out[1, part] = q.sum(axis=-1), np.einsum("ij,ij->i", q, q)
-        out /= n
-        return tuple(out)
+        return self._real_moments(w, 1)
 
     def m0_jet(self, w):
         """(m_0, m_0', m_0'') from the real sums, for a solve's Halley start."""
         return self._real_moments(w, 2)
-
-    @property
-    def real_sums(self):
-        """Whether m0 takes real sums: theta^2 > 0, REAL_SUMS_MIN_N eigenvalues."""
-        return (self.theta_sq > 0.0 and self.eigenvalues is not None
-                and self.eigenvalues.size >= REAL_SUMS_MIN_N)
 
     def _real_moments(self, w, order):
         # Row reductions, never BLAS, which can sum a row of a chunk in
@@ -154,16 +139,20 @@ def solve_m_t(z, inp: FreeConvInput):
 
     z is one point, giving a complex, or an array of points, giving a complex
     array of its shape; each point gets the value a solve there alone gives.
-    All points take their steps in one loop, which holds about 270 bytes of
-    state per point; each m0 call walks its points in chunks of about
-    BLOCK_BYTES of work.
+    The points of each slab of SLAB_POINTS take their steps in one loop, which
+    holds about 280 bytes of state per point; each m0 call walks its points in
+    chunks of about BLOCK_BYTES of work.  Slabs are solved in point order, so
+    the first failing point raises what a solve there alone would.
     """
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zs)):
         raise ValueError("z must be finite")
     if np.any(zs.imag <= 0):
         raise ValueError("Im z must be positive")
-    return _solve(zs.reshape(-1), inp).reshape(zs.shape)[()]
+    flat, out = zs.reshape(-1), np.empty(zs.size, dtype=complex)
+    for k in range(0, flat.size, SLAB_POINTS):
+        out[k:k + SLAB_POINTS] = _solve(flat[k:k + SLAB_POINTS], inp)
+    return out.reshape(zs.shape)[()]
 
 
 def _chunks(points, n):
@@ -187,7 +176,7 @@ def _solve(z, inp):
     m = m_sc(z / s) / s
     out = np.empty_like(m)
     active, za = np.arange(z.size), z
-    f, fp, *fpp = (inp.m0_jet if inp.real_sums else inp.m0)(za + v * m)
+    f, fp, *fpp = (inp.m0 if inp.eigenvalues is None else inp.m0_jet)(za + v * m)
     for step in range(len(rules) + 1):
         res = _modulus(m - f)
         done = (res <= RESIDUAL_TOL) | (m.imag < 0)
