@@ -56,9 +56,11 @@ MASS_DEFICIT_TOL = 1e-3
 # work, at 16 bytes a pair, stays near 1 MiB; wider chunks leave the cache.
 # Read at each call, never cached, so that a changed value takes effect.
 BLOCK_BYTES = 1 << 20
-# solve_m_t hands the step loop its points in slabs of this many, so that a
-# solve's state stays near 1 MiB however long its grid.
-SLAB_POINTS = 1 << 12
+# solve_m_t hands the step loop its points in slabs of BLOCK_BYTES // 256, so
+# that their state, about 280 bytes a point, stays near the same budget however
+# long the grid.  Its own name, so that slab edges can be set apart from chunk
+# edges.
+SLAB_POINTS = BLOCK_BYTES // 256
 
 
 @dataclass(frozen=True, eq=False)
