@@ -19,10 +19,13 @@ only parallelism, with no BLAS threads competing with them for cores.  Where a
 library exports no thread setter, a ``RuntimeWarning`` says that its bytes may
 depend on the BLAS thread count.  Windowed solves call LAPACK directly, dsyevr
 for dense matrices and dstebz for tridiagonal ones, and release the GIL for the
-whole solve, so ``--threads`` scales them too.  A dense window is solved in a
-pooled Fortran-order buffer.  ``statistics.sample_spectra`` fills that buffer
-straight from the packed draw of a dense kind (``_packed_window``), so its
-windowed trials build no (n, n) matrix.
+whole solve, so ``--threads`` scales them too.  A dense matrix, full or
+windowed, must be square and finite, or ValueError is raised before LAPACK
+runs; like scipy's ``eigvalsh``, a solve reads its lower triangle only.  So a
+dense window is the packed window of that triangle (``_packed_window``): one
+dsyevr call in a pooled Fortran-order buffer.  ``statistics.sample_spectra``
+hands it the packed draw of a dense kind, so its windowed trials build no
+(n, n) matrix.
 """
 
 import contextlib
@@ -199,48 +202,28 @@ def _dsyevr_buffers(n):
             _dsyevr_pool[key].append(buffers)
 
 
-def _dsyevr_window(n, lo, hi, fill):
-    """Eigenvalues lo..hi of the symmetric matrix whose lower triangle
-    ``fill(a)`` writes into a pooled Fortran-order (n, n) buffer ``a``, from
-    one dsyevr call.
-
-    The routine, its library, its arguments and its workspace are those of
-    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``, and so are the
-    bits; but a ctypes call releases the GIL for the whole solve, so the
-    solves of ``rng.trial_map``'s worker threads run at the same time.
-    """
-    w = np.empty(n)
-    with _dsyevr_buffers(n) as (a, work, iwork):
-        fill(a)
-        m, info = _call_dsyevr(a, lo + 1, hi + 1, w, work, work.size, iwork, iwork.size)
-    if info != 0:
-        raise NumericalError(f"LAPACK dsyevr failed with info {info}")
-    return w[:m]
-
-
-def _dense_window(a, lo, hi):
-    """Eigenvalues lo..hi of the dense symmetric matrix ``a``, copied into a
-    pooled buffer."""
+def _dense_matrix(a):
+    """``a`` as a float64 array; ValueError unless it is square and finite."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if _dsyevr is None:
-        return scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))
-
-    def fill(buf):
-        buf[...] = a
-
-    return _dsyevr_window(a.shape[0], lo, hi, fill)
+    return a
 
 
 def _packed_window(n, values, select):
     """``eigenvalues_of(_symmetric_from_upper(n, values), select)`` without the
-    (n, n) matrix: the packed upper triangle ``values`` is written straight
-    into the lower triangle of a pooled Fortran-order buffer (the C-order
-    upper triangle is the Fortran-order lower one), which is all that dsyevr
-    reads.  Only the n(n+1)/2 packed values are checked for finiteness.
+    (n, n) matrix, from one dsyevr call.
+
+    The packed upper triangle ``values`` is written straight into the lower
+    triangle of a pooled Fortran-order buffer (the C-order upper triangle is
+    the Fortran-order lower one), which is all that dsyevr reads.  Only the
+    n(n+1)/2 packed values are checked for finiteness.  The routine, its
+    library, its arguments and its workspace are those of
+    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``, and so are the
+    bits; but a ctypes call releases the GIL for the whole solve, so the
+    solves of ``rng.trial_map``'s worker threads run at the same time.
     """
     lo, hi = _index_window(select, n)
     if not np.isfinite(values).all():
@@ -248,11 +231,13 @@ def _packed_window(n, values, select):
     if _dsyevr is None:
         return scipy.linalg.eigvalsh(_symmetric_from_upper(n, values),
                                      subset_by_index=(lo, hi))
-
-    def fill(a):
+    w = np.empty(n)
+    with _dsyevr_buffers(n) as (a, work, iwork):
         a.T[_upper_mask(n)] = values
-
-    return _dsyevr_window(n, lo, hi, fill)
+        m, info = _call_dsyevr(a, lo + 1, hi + 1, w, work, work.size, iwork, iwork.size)
+    if info != 0:
+        raise NumericalError(f"LAPACK dsyevr failed with info {info}")
+    return w[:m]
 
 
 def _tridiagonal_window(t, lo, hi):
@@ -315,11 +300,7 @@ def eigh(a):
     Raises NumericalError (carrying the achieved residual) if the backend
     output misses the residual or orthonormality contract.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = _dense_matrix(a)
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
 
@@ -348,28 +329,29 @@ def eigh(a):
 def eigenvalues_of(a, select=None):
     """Ascending eigenvalues only; the fast path for Monte Carlo loops.
 
-    ``a`` is a dense symmetric array or a ``SymmetricTridiagonal``.  With
-    ``select=(lo, hi)`` only eigenvalues lo..hi (0-based, inclusive) are
-    computed and returned, as an array of length hi - lo + 1.  A window calls
-    LAPACK directly and releases the GIL for the whole solve, so ``--threads``
-    scales these solves.  A dense window copies ``a`` into a pooled
-    Fortran-order buffer for one dsyevr call, with the bits of
-    ``scipy.linalg.eigvalsh(a, subset_by_index=(lo, hi))``; a non-finite
-    entry or a non-square ``a`` raises ValueError before LAPACK runs.  A
-    tridiagonal window is one dstebz call, with the bits and the validation
-    of ``scipy.linalg.eigvalsh_tridiagonal(diag, offdiag, select="i",
-    select_range=(lo, hi))``.  A nonzero LAPACK ``info`` raises
-    NumericalError.
+    ``a`` is a dense symmetric array or a ``SymmetricTridiagonal``.  A dense
+    ``a``, full or windowed, must be square and finite, or ValueError is
+    raised before LAPACK runs; like scipy's ``eigvalsh``, the solve reads its
+    lower triangle only.  With ``select=(lo, hi)`` only eigenvalues lo..hi
+    (0-based, inclusive) are computed and returned, as an array of length
+    hi - lo + 1.  A window calls LAPACK directly and releases the GIL for the
+    whole solve, so ``--threads`` scales these solves.  A dense window is the
+    packed window of that lower triangle: one dsyevr call in a pooled
+    Fortran-order buffer, with the bits of ``scipy.linalg.eigvalsh(a,
+    subset_by_index=(lo, hi))``.  A tridiagonal window is one dstebz call,
+    with the bits and the validation of ``scipy.linalg.eigvalsh_tridiagonal(
+    diag, offdiag, select="i", select_range=(lo, hi))``.  A nonzero LAPACK
+    ``info`` raises NumericalError.
     """
-    tridiagonal = isinstance(a, SymmetricTridiagonal)
-    if select is None:
-        if tridiagonal:
+    if isinstance(a, SymmetricTridiagonal):
+        if select is None:
             return scipy.linalg.eigvalsh_tridiagonal(a.diag, a.offdiag)
+        return _tridiagonal_window(a, *_index_window(select, a.shape[0]))
+    a = _dense_matrix(a)
+    if select is None:
         return np.linalg.eigvalsh(a)
-    lo, hi = _index_window(select, a.shape[0])
-    if tridiagonal:
-        return _tridiagonal_window(a, lo, hi)
-    return _dense_window(a, lo, hi)
+    n = a.shape[0]
+    return _packed_window(n, a.T[_upper_mask(n)], select)
 
 
 def stieltjes_empirical(spectrum, z):
@@ -456,9 +438,11 @@ def local_law_deviation(spectrum, grid, q, prefactor=LOCAL_LAW_PREFACTOR):
     """Compare m_N to m_sc on a grid of spectral points.
 
     ``grid`` is a sequence of complex points E + i eta with eta > 0; the
-    envelope is prefactor * (1/q + 1/(N eta)).  For a GOE reference pass
-    q = sqrt(N).
+    envelope is prefactor * (1/q + 1/(N eta)), with q positive and finite.
+    For a GOE reference pass q = sqrt(N).
     """
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"q must be positive and finite, got {q}")
     lam = np.asarray(spectrum, dtype=float)
     n = lam.shape[0]
     z = np.asarray(grid, dtype=complex).ravel()

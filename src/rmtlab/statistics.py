@@ -249,8 +249,10 @@ class ObservableSpec:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"width must be positive and finite, got {self.width}")
 
     def support(self):
         """(lo, hi) support bounds."""
@@ -279,11 +281,13 @@ def correlation_average(spectra, e, b, obs: ObservableSpec):
     inside the observable's support window.  The expectation is the mean over
     the supplied spectra; the standard error is across spectra.
     """
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be positive and finite, got {b}")
+    if not math.isfinite(e):
+        raise ValueError(f"E must be finite, got {e}")
     spectra = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
     if not spectra:
         raise ValueError("need at least one spectrum")
-    if b <= 0:
-        raise ValueError("b must be positive")
     n = spectra[0].shape[0]
     if any(s.shape[0] != n for s in spectra):
         raise ValueError("all spectra must have equal length")

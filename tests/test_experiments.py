@@ -606,21 +606,30 @@ def test_run_writes_exactly_the_reported_artifacts(tmp_path, name, config):
     assert names[-1] == "report.json"  # after the files the runner returned
 
 
+def _python_in_a_subprocess(args, **env):
+    """stdout of ``python args`` in a fresh process whose environment sets
+    ``env`` (and no other OpenBLAS kernel), with this rmtlab importable; the
+    process must exit 0."""
+    path = [str(Path(rmtlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    done = subprocess.run(
+        [sys.executable, *args],
+        env={**base, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _artifact_bytes_in_a_subprocess(tmp_path, config, names, **env):
     """{name: bytes} of an ``rmtlab`` run of ``config`` in a fresh process
     whose environment sets ``env`` (and no other OpenBLAS kernel); the run
     must write exactly the artifacts ``names``."""
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     (work / "cfg.json").write_text(json.dumps(config))
-    path = [str(Path(rmtlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    done = subprocess.run(
-        [sys.executable, "-m", "rmtlab.cli", config["experiment"],
-         "--config", str(work / "cfg.json"), "--out", str(work / "out")],
-        env={**base, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    _python_in_a_subprocess(["-m", "rmtlab.cli", config["experiment"],
+                             "--config", str(work / "cfg.json"),
+                             "--out", str(work / "out")], **env)
     artifacts = {p.name: p.read_bytes() for p in (work / "out").iterdir()}
     assert sorted(artifacts) == sorted(names)
     return artifacts
@@ -681,6 +690,73 @@ def test_free_conv_bytes_on_the_analytic_and_goe_bases_do_not_depend_on_the_open
         config["stats"]["base"] = "sample"
     default, haswell = _bytes_under_both_kernels(tmp_path, config, FREE_CONV_ARTIFACTS)
     assert default == haswell
+
+
+# Writes every layer's output at seed 1729 to the .npz file argv[1] and prints
+# the OpenBLAS core names of numpy and scipy.  The packed samples, the flow and
+# the tridiagonal solves call no BLAS; the dense solves do.
+_KERNEL_PROBE = """
+import ctypes, sys
+import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
+from rmtlab.ensembles import (EnsembleSpec, _sample_upper, alternating_profile,
+                              sample_goe_tridiagonal, sample_matrix)
+from rmtlab.flow import FlowParams, decompose_sample, evolve
+from rmtlab.rng import derive_stream
+from rmtlab.spectral import _library_symbol, eigenvalues_of
+
+for module, suffix in ((_umath_linalg, "64_"), (_flapack, "")):
+    corename = _library_symbol(module, ("scipy_openblas_get_corename" + suffix,
+                                        "openblas_get_corename"))
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+out = {}
+n = 200
+specs = [EnsembleSpec(n=n, kind="erdos_renyi"), EnsembleSpec(n=n, kind="goe"),
+         EnsembleSpec(n=n, kind="sparse_generic", q_exponent=0.3,
+                      profile=alternating_profile(n, 0.5, 1.5))]
+for k, spec in enumerate(specs):
+    out[f"packed_{spec.kind}"] = _sample_upper(spec, derive_stream(1729, k))
+h0 = sample_matrix(specs[0], derive_stream(1729, 3))
+out["evolve"] = evolve(h0, FlowParams(n=n, t=0.1), derive_stream(1729, 4))
+flow = decompose_sample(h0, FlowParams(n=n, t=0.1), derive_stream(1729, 5))
+out["decompose"] = np.stack([flow.h_t, flow.h_t1, flow.goe_part])
+tri = sample_goe_tridiagonal(1000, derive_stream(1729, 6))
+out["tridiagonal"] = np.concatenate([tri.diag, tri.offdiag])
+out["tridiagonal_full"] = eigenvalues_of(tri)
+out["tridiagonal_window"] = eigenvalues_of(tri, select=(499, 500))
+out["dense_full"] = eigenvalues_of(
+    sample_matrix(EnsembleSpec(n=1000, kind="erdos_renyi"), derive_stream(1729, 7)))
+h = sample_matrix(EnsembleSpec(n=500, kind="erdos_renyi"), derive_stream(1729, 8))
+out["dense_window"] = eigenvalues_of(h, select=(0, 499))
+out["dense_central_window"] = eigenvalues_of(h, select=(249, 250))
+np.savez(sys.argv[1], **out)
+"""
+
+# Dense eigenvalues under another kernel lie within DENSE_KERNEL_C eps max|lambda|
+# of the default kernel's.  The largest ratio seen was 32, over full ER spectra
+# at n = 1000 and full and central ER windows at n = 500 (seeds 1729 and 1-10,
+# SkylakeX against Haswell; at most 1.3e-13 apart).
+DENSE_KERNEL_C = 64
+
+
+@needs_haswell_kernel
+def test_only_dense_eigensolves_depend_on_the_openblas_kernel(tmp_path):
+    default, haswell = tmp_path / "default.npz", tmp_path / "haswell.npz"
+    _python_in_a_subprocess(["-c", _KERNEL_PROBE, str(default)])
+    cores = _python_in_a_subprocess(["-c", _KERNEL_PROBE, str(haswell)],
+                                    OPENBLAS_CORETYPE="Haswell")
+    assert cores.split() == ["Haswell", "Haswell"]
+    default, haswell = np.load(default), np.load(haswell)
+    dense = {"dense_full", "dense_window", "dense_central_window"}
+    assert sorted(default.files) == sorted(haswell.files)
+    for name in default.files:
+        if name in dense:
+            bound = DENSE_KERNEL_C * np.finfo(float).eps * np.abs(default[name]).max()
+            assert np.abs(default[name] - haswell[name]).max() <= bound, name
+        else:
+            assert default[name].tobytes() == haswell[name].tobytes(), name
 
 
 def test_cli_acceptance_prints_every_criterion_and_writes_only_its_report(tmp_path,

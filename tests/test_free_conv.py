@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -191,8 +193,16 @@ LAW_C = 2.0
 # the smallest whole number above the largest ratio |m - oracle| / (eps
 # mean|q|) seen, 4.67, over 370000 random bases of 1-12 atoms (eta = 1e-5 or
 # log-uniform in [1e-5, 1], energies in [-5, 5], on the atoms and within a few
-# eta of them; 11 million points).
+# eta of them; 11 million points).  The real sums alone stay within EXACT_C eps
+# mean|q| of exact arithmetic on the same inputs: see
+# test_theta_sq_zero_m0_is_within_a_few_eps_of_exact_arithmetic.
 ROUNDING_C = 5.0
+
+# The smallest whole number above the largest ratio |m0(z) - exact| / (eps
+# mean|q|) seen, 3.34, over 500000 bases drawn by ``atom_bases`` below (seeds
+# 1-5, 5.5 million points), where exact is the mean of 1/(lambda - z) in
+# rational arithmetic on the float lambda and z.
+EXACT_C = 4.0
 
 
 def assert_certified_and_law_equal(z, inp, got):
@@ -209,6 +219,42 @@ def assert_certified_and_law_equal(z, inp, got):
         q = 1.0 / (inp.eigenvalues - z[:, None])
         bound = np.maximum(bound, ROUNDING_C * np.finfo(float).eps * np.abs(q).mean(axis=1))
     assert np.all(np.abs(got - oracle) * slope <= bound)
+
+
+def exact_m0(lam, z):
+    """Re and Im of the mean of 1/(lam - z), in exact rational arithmetic on
+    the float inputs."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for value in lam:
+        d = Fraction(value) - x
+        r = d * d + y * y
+        re, im = re + d / r, im + y / r
+    return re / len(lam), im / len(lam)
+
+
+def atom_bases(rng, count):
+    """``count`` (eigenvalues, z) cases: 1-12 atoms in [-3, 3], eta = 1e-5 or
+    log-uniform in [1e-5, 1], and energies away from, on and within 4 eta of
+    the atoms."""
+    for _ in range(count):
+        lam = rng.uniform(-3.0, 3.0, rng.integers(1, 13))
+        eta = 1e-5 if rng.random() < 0.5 else 10.0 ** rng.uniform(-5.0, 0.0)
+        atoms = rng.choice(lam, size=min(lam.size, 4), replace=False)
+        energies = np.concatenate([rng.uniform(-5.0, 5.0, 4), atoms,
+                                   atoms + eta * rng.uniform(-4.0, 4.0, atoms.size)])
+        yield lam, energies + 1j * eta
+
+
+def test_theta_sq_zero_m0_is_within_a_few_eps_of_exact_arithmetic():
+    eps = np.finfo(float).eps
+    for lam, z in atom_bases(np.random.default_rng(1729), 300):
+        m, _ = FreeConvInput(0.0, eigenvalues=lam).m0(z)
+        scale = np.abs(1.0 / (lam - z[:, None])).mean(axis=1)
+        for k in range(z.size):
+            re, im = exact_m0(lam, z[k])
+            err = math.hypot(Fraction(m[k].real) - re, Fraction(m[k].imag) - im)
+            assert err <= EXACT_C * eps * scale[k], (lam, z[k])
 
 
 @cache

@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,9 +71,11 @@ def test_eigh_reconstruction_goe():
 
 
 def test_eigh_rejects_asymmetric_and_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        eigh(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="matrix must be exactly symmetric"):
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
         eigh(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
@@ -104,10 +107,15 @@ def test_windowed_eigenvalues_reject_bad_windows(window):
 
 @st.composite
 def dense_windows(draw):
+    # "gaussian" is a non-symmetric matrix of iid normals: scipy's eigvalsh
+    # reads its lower triangle, and so must a dense window
     n = draw(st.integers(2, 64))
-    kind = draw(st.sampled_from(("erdos_renyi", "sparse_generic", "goe")))
-    h = sample_matrix(EnsembleSpec(n=n, kind=kind),
-                      derive_stream(draw(st.integers(0, 2 ** 64 - 1)), 0))
+    kind = draw(st.sampled_from(("erdos_renyi", "sparse_generic", "goe", "gaussian")))
+    stream = derive_stream(draw(st.integers(0, 2 ** 64 - 1)), 0)
+    if kind == "gaussian":
+        h = stream.gaussian(0.0, 1.0, n * n).reshape(n, n)
+    else:
+        h = sample_matrix(EnsembleSpec(n=n, kind=kind), stream)
     lo = draw(st.integers(0, n - 1))
     return h, (lo, draw(st.integers(lo, n - 1)))
 
@@ -138,10 +146,14 @@ def test_dense_windows_call_lapack_directly_on_the_wheels():
 def test_dense_windows_fall_back_to_scipy_with_the_same_bytes(monkeypatch):
     values = _sample_upper(EnsembleSpec(n=80, kind="erdos_renyi"), derive_stream(5, 0))
     h = _symmetric_from_upper(80, values)
+    g = derive_stream(5, 1).gaussian(0.0, 1.0, 80 * 80).reshape(80, 80)
     direct = eigenvalues_of(h, select=(39, 40))
+    direct_g = eigenvalues_of(g, select=(39, 40))
     monkeypatch.setattr(spectral, "_dsyevr", None)
     assert eigenvalues_of(h, select=(39, 40)).tobytes() == direct.tobytes()
     assert spectral._packed_window(80, values, (39, 40)).tobytes() == direct.tobytes()
+    # a non-symmetric matrix is read through its lower triangle on both paths
+    assert eigenvalues_of(g, select=(39, 40)).tobytes() == direct_g.tobytes()
 
 
 def _lapack_must_not_run(*args):
@@ -163,6 +175,24 @@ def test_dense_window_rejects_a_non_square_matrix_before_lapack(monkeypatch):
     monkeypatch.setattr(spectral, "_call_dsyevr", _lapack_must_not_run)
     with pytest.raises(ValueError, match="square"):
         eigenvalues_of(np.zeros((6, 5)), select=(0, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_full_dense_solve_rejects_non_finite_entries_before_lapack(monkeypatch, bad):
+    # numpy's eigvalsh gave [0., -0.] for [[nan, 0], [0, 1]] and NaNs or a
+    # convergence failure at larger n
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_must_not_run)
+    for h in (np.array([[bad, 0.0], [0.0, 1.0]]), sample_goe(50, derive_stream(6, 0))):
+        h[-1, 0] = h[0, -1] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            eigenvalues_of(h)
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (6,), (2, 3, 3)])
+def test_full_dense_solve_rejects_a_non_square_matrix_before_lapack(monkeypatch, shape):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_must_not_run)
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        eigenvalues_of(np.zeros(shape))
 
 
 def test_dense_window_lapack_failure_names_info_and_exits_3(monkeypatch, tmp_path, capsys):
@@ -391,6 +421,13 @@ def test_local_law_coarse_resolution_forces_closeness():
     rep = local_law_deviation(lam, [0.0 + 10.0j, 1.0 + 10.0j], q=10.0)
     assert np.all(rep.deviation <= 0.4)
     assert rep.all_passed()
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0])
+def test_local_law_rejects_a_q_that_is_not_positive_and_finite(q):
+    # q = nan failed every point without a word; q = 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match="q must be positive and finite"):
+        local_law_deviation(np.zeros(4), [0.0 + 1.0j], q=q)
 
 
 def test_local_law_goe_monte_carlo():

@@ -328,6 +328,28 @@ def test_correlation_average_rejects_bad_input():
         ObservableSpec(width=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("center", math.nan), ("center", math.inf),
+                                          ("center", -math.inf), ("width", math.nan),
+                                          ("width", math.inf)])
+def test_observable_rejects_a_non_finite_center_or_width(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ObservableSpec(**{field: value})
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+def test_correlation_average_rejects_a_non_finite_energy(e):
+    # a NaN energy gave CorrelationEstimate(0.0, 0.0)
+    with pytest.raises(ValueError, match="E must be finite"):
+        correlation_average([classical_spectrum(200)], e, 0.01, ObservableSpec())
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_correlation_average_rejects_a_non_finite_window(b):
+    # a NaN or infinite half-width gave CorrelationEstimate(0.0, 0.0)
+    with pytest.raises(ValueError, match="b must be positive and finite"):
+        correlation_average([classical_spectrum(200)], 0.0, b, ObservableSpec())
+
+
 def test_correlation_average_pair_estimator_runs():
     lam = [eigenvalues_of(sample_goe(400, derive_stream(9, k))) for k in range(4)]
     obs = ObservableSpec(center=0.0, width=4.0)
